@@ -1,0 +1,90 @@
+"""Golden outputs: every recorded output of a fixed corpus, byte for byte.
+
+Each directory under ``tests/golden/`` is one case.  ``case.json``
+holds the diagram, the path used for path-dependent outputs (null for
+n <= 2) and the slope tuple given to ``certify_haken``.  Every other
+file in the directory is one recorded output, named as in ``OUTPUTS``;
+``cli.json`` maps command lines (``FILE`` standing for the diagram's
+JSON file) to the exit code of ``cli.main``.  An output that is
+undefined for a case (a braid word of a rational diagram, say) has no
+file.  The test recomputes each recorded file and compares bytes.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from platsurf import (
+    MODE_COMPOSITE,
+    MODE_RELAXED,
+    MODE_THEOREM1,
+    certificate_json,
+    certify,
+    certify_haken,
+    diagram_to_json,
+    haken_certificate_json,
+    parse_slopes,
+    render,
+    to_braid_word,
+    to_pd_code,
+)
+from platsurf.cli import main
+from platsurf.diagram import from_json_dict
+from platsurf.topology import component_cycles
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
+
+
+def _text(s: str) -> bytes:
+    return s.encode()
+
+
+OUTPUTS = {
+    "certify-theorem1.json": lambda d, c: _text(certificate_json(certify(d, None, MODE_THEOREM1))),
+    "certify-relaxed.json": lambda d, c: _text(certificate_json(certify(d, None, MODE_RELAXED))),
+    "certify-composite.json": lambda d, c: _text(certificate_json(certify(d, None, MODE_COMPOSITE))),
+    "certify-path.json": lambda d, c: _text(certificate_json(certify(d, c["path"]))),
+    "haken.json": lambda d, c: _text(
+        haken_certificate_json(certify_haken(d, parse_slopes(c["slopes"])))
+    ),
+    "braid.txt": lambda d, c: _text(to_braid_word(d).text() + "\n"),
+    "pd.txt": lambda d, c: _text(to_pd_code(d).text() + "\n"),
+    "render.svg": lambda d, c: render(d, None, "svg"),
+    "render.txt": lambda d, c: render(d, None, "ascii"),
+    "render-path.svg": lambda d, c: render(d, c["path"], "svg"),
+    "render-path.txt": lambda d, c: render(d, c["path"], "ascii"),
+    "cycles.txt": lambda d, c: _text(repr(component_cycles(d)) + "\n"),
+}
+
+
+def _load(name: str):
+    case = json.loads((GOLDEN / name / "case.json").read_text())
+    if case["path"] is not None:
+        case["path"] = tuple(case["path"])
+    return from_json_dict(case["diagram"]), case
+
+
+def test_corpus_is_present():
+    assert len(CASES) >= 30
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_golden_outputs(name, tmp_path, capsys):
+    d, case = _load(name)
+    recorded = sorted(p.name for p in (GOLDEN / name).iterdir())
+    unknown = set(recorded) - set(OUTPUTS) - {"case.json", "cli.json"}
+    assert not unknown, f"unrecognised golden files {sorted(unknown)}"
+    for fname in recorded:
+        if fname in OUTPUTS:
+            want = (GOLDEN / name / fname).read_bytes()
+            assert OUTPUTS[fname](d, case) == want, f"{name}/{fname} differs"
+
+    diagram_file = tmp_path / "d.json"
+    diagram_file.write_text(diagram_to_json(d))
+    codes = json.loads((GOLDEN / name / "cli.json").read_text())
+    for command, want in codes.items():
+        argv = [str(diagram_file) if a == "FILE" else a for a in command.split()]
+        assert main(argv) == want, f"{name}: platsurf {command}"
+        capsys.readouterr()
