@@ -34,7 +34,7 @@ import itertools
 
 from .diagram import PlatDiagram, Twist, box_strands
 from .errors import UnsupportedBoxError
-from .topology import UnionFind, build_topology
+from .topology import build_topology
 
 # ---------------------------------------------------------------------------
 # braid words
@@ -104,11 +104,18 @@ def pd_trace_components(code: PDCode) -> int:
     The two through-strands of X(a, b, c, d) are a-c and b-d; union the
     labels and count the groups.
     """
-    uf = UnionFind()
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for a, b, c, d in code.crossings:
-        uf.union(a, c)
-        uf.union(b, d)
-    return len(uf.groups())
+        parent[find(a)] = find(c)
+        parent[find(b)] = find(d)
+    return sum(1 for x in parent if parent[x] == x)
 
 
 def pd_validate(code: PDCode) -> None:
@@ -138,12 +145,10 @@ def to_pd_code(d: PlatDiagram) -> PDCode:
     crossings: list[dict] = []  # {"sign": +-1, "ports": {port: label}}
     endpoints: dict[int, list[tuple[int, str]]] = {}
     fresh = itertools.count().__next__
-    uf = UnionFind()
 
     def new_label() -> int:
         lab = fresh()
         endpoints[lab] = []
-        uf.find(lab)
         return lab
 
     open_label: dict[int, int] = {}
@@ -172,13 +177,17 @@ def to_pd_code(d: PlatDiagram) -> PDCode:
                 crossings.append({"sign": sign})
         snapshots.append(dict(open_label))
 
+    # each bottom cap joins the two labels open above it into one arc.  A
+    # label is open in one column, or in both columns of one cap pair, so
+    # it takes part in at most one join and no chains form
+    arc_of: dict[int, int] = {}
     for j in range(1, d.n + 1):
-        uf.union(open_label[2 * j - 1], open_label[2 * j])
+        arc_of[open_label[2 * j]] = open_label[2 * j - 1]
 
     # resolve provisional labels into arcs
     arc_ends: dict[int, list[tuple[int, str]]] = {}
     for lab, ends in endpoints.items():
-        arc_ends.setdefault(uf.find(lab), []).extend(ends)
+        arc_ends.setdefault(arc_of.get(lab, lab), []).extend(ends)
     port_arc: dict[tuple[int, str], int] = {}
     for arc, ends in arc_ends.items():
         if not ends:
@@ -196,7 +205,8 @@ def to_pd_code(d: PlatDiagram) -> PDCode:
     next_label = 1
     for comp in topo.components:
         g0, x0 = min(comp)
-        start_arc = uf.find(snapshots[g0][x0])
+        lab = snapshots[g0][x0]
+        start_arc = arc_of.get(lab, lab)
         if not arc_ends[start_arc]:
             continue  # no crossings on this component
         if start_arc in final_label:

@@ -13,16 +13,20 @@ strand connects them:
   ends to each other and the two lower ends to each other);
 * strand positions not covered by a box pass straight through the row.
 
-Union-find over segments yields the link components.  Component ids are
-canonical: components sorted by their smallest segment in (gap, strand)
-lexicographic order, numbered from 0.
+Every segment end is joined to exactly one other, so the joins form a
+perfect matching on ends and each link component is one cycle through
+it.  ``build_topology`` scans segments in (gap, strand) lexicographic
+order and walks the cycle of each segment not yet labelled, leaving it
+downward.  Each component is thus found from its smallest segment, and
+the ids come out canonical: components ordered by their smallest
+segment, numbered from 0.  ``component_cycles`` records the same walk.
 
 ``braid_permutation`` gives an independent route to the same count: the
 permutation that the rows induce on strand positions, read top to
 bottom.  The plat closure identifies positions pairwise at top and
 bottom; the cycle count of that identification composed with the
-permutation must match the union-find answer, and the test suite checks
-it does.
+permutation must match the walk's answer, and the test suite checks it
+does.
 
 A separating sphere along an allowable path meets the link in m + 1
 pieces: the top cap at pair (pos(1), pos(1)+1), one strand segment per
@@ -50,33 +54,6 @@ Segment = tuple[int, int]  # (gap, strand)
 _TOP = 0
 _BOT = 1
 End = tuple[int, int, int]  # (gap, strand, _TOP | _BOT)
-
-
-class UnionFind:
-    """Disjoint sets over hashable items, with path compression."""
-
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def groups(self) -> list[set]:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return list(out.values())
 
 
 Connector = tuple  # ("top_cap", j) | ("bottom_cap", j) | ("box", i, j) | ("straight", i, x)
@@ -149,18 +126,39 @@ class LinkTopology:
         return self.component_of(self.m, 2 * j - 1)
 
 
+def _walk(
+    links: dict[End, tuple[End, Connector]], start: Segment
+) -> Iterator[tuple[Segment, Connector]]:
+    """The cycle through ``start``, leaving it downward.
+
+    Yields each segment with the connector crossed on leaving it.  A
+    caps-paired box turns the walk around, so the side it leaves by is
+    tracked rather than assumed.
+    """
+    seg, exit_side = start, _BOT
+    while True:
+        nxt, conn = links[(seg[0], seg[1], exit_side)]
+        yield seg, conn
+        seg = nxt[:2]
+        if seg == start:
+            return
+        exit_side = _TOP if nxt[2] == _BOT else _BOT
+
+
 @functools.lru_cache(maxsize=256)
 def build_topology(d: PlatDiagram) -> LinkTopology:
-    """Union segments across all caps, boxes, and straights of d."""
-    uf = UnionFind()
+    """Label every segment of d with its component, walking each cycle once."""
+    links = _end_links(d)
+    label: dict[Segment, int] = {}
+    comps: list[frozenset[Segment]] = []
     for g in range(d.m + 1):
         for x in range(1, 2 * d.n + 1):
-            uf.find((g, x))
-    for e1, (e2, _) in _end_links(d).items():
-        uf.union(e1[:2], e2[:2])
-    comps = sorted((sorted(g) for g in uf.groups()), key=lambda g: g[0])
-    label = {seg: idx for idx, group in enumerate(comps) for seg in group}
-    return LinkTopology(d, tuple(frozenset(g) for g in comps), label)
+            if (g, x) not in label:
+                comp = frozenset(seg for seg, _ in _walk(links, (g, x)))
+                for seg in comp:
+                    label[seg] = len(comps)
+                comps.append(comp)
+    return LinkTopology(d, tuple(comps), label)
 
 
 def component_cycles(d: PlatDiagram) -> tuple[tuple, ...]:
@@ -172,20 +170,11 @@ def component_cycles(d: PlatDiagram) -> tuple[tuple, ...]:
     vertical direction; the traversal follows them.
     """
     links = _end_links(d)
-    topo = build_topology(d)
     cycles = []
-    for comp in topo.components:
-        start = min(comp)
+    for comp in build_topology(d).components:
         cycle: list[tuple] = []
-        seg, exit_side = start, _BOT
-        while True:
-            cycle.append(("segment",) + seg)
-            nxt, conn = links[(seg[0], seg[1], exit_side)]
-            cycle.append(conn)
-            seg = nxt[:2]
-            exit_side = _TOP if nxt[2] == _BOT else _BOT
-            if seg == start and exit_side == _BOT:
-                break
+        for seg, conn in _walk(links, min(comp)):
+            cycle += [("segment",) + seg, conn]
         cycles.append(tuple(cycle))
     return tuple(cycles)
 

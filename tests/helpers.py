@@ -3,13 +3,15 @@
 Each function here recomputes something the library also computes, by a
 different route: brute-force enumeration instead of recursive descent,
 generic segment intersection instead of the closed-form crossing count,
-a permutation pairing graph instead of union-find on segments, and a
-run-counting walk along each component instead of side thresholds.
+a permutation pairing graph and union-find on segments instead of the
+walk over segment ends, and a run-counting walk along each component
+instead of side thresholds.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from platsurf import PlatDiagram, make_diagram
@@ -120,6 +122,59 @@ def plat_cycle_count(perm: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# components by union-find over segments
+
+
+def union_find_components(d: PlatDiagram) -> list[list[tuple[int, int]]]:
+    """Components as sorted segment lists, ordered by smallest segment.
+
+    Segments are united across caps, straight stretches and each box's
+    pairing, read off the parities of its slope p/q: odd/odd swaps the
+    strands, odd/even passes them straight, even p caps them off.
+    """
+    parent: dict = {}
+
+    def find(v):
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    for g in range(d.m + 1):
+        for x in range(1, 2 * d.n + 1):
+            find((g, x))
+    for x in range(1, 2 * d.n, 2):
+        union((0, x), (0, x + 1))
+        union((d.m, x), (d.m, x + 1))
+    for i, row in enumerate(d.rows, 1):
+        covered = set()
+        for j, box in enumerate(row, 1):
+            s = 2 * j if i % 2 == 1 else 2 * j - 1
+            t = s + 1
+            covered |= {s, t}
+            p, q = (1, box.a) if hasattr(box, "a") else (box.p, box.q)
+            if p % 2 == 0:
+                union((i - 1, s), (i - 1, t))
+                union((i, s), (i, t))
+            elif q % 2 == 0:
+                union((i - 1, s), (i, s))
+                union((i - 1, t), (i, t))
+            else:
+                union((i - 1, s), (i, t))
+                union((i - 1, t), (i, s))
+        for x in set(range(1, 2 * d.n + 1)) - covered:
+            union((i - 1, x), (i, x))
+    groups: dict = {}
+    for v in parent:
+        groups.setdefault(find(v), []).append(v)
+    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+
+# ---------------------------------------------------------------------------
 # run-counting walk: arcs per side, intersections per component
 
 
@@ -220,6 +275,21 @@ def random_all_twist(rng: random.Random, n: int, m: int, spread: int = 5) -> Pla
     rows = []
     for i in range(1, m + 1):
         rows.append([rng.randint(-spread, spread) for _ in range(row_len(n, i))])
+    return make_diagram(n, m, rows)
+
+
+def random_mixed(rng: random.Random, n: int, m: int) -> PlatDiagram:
+    """Arbitrary diagram mixing twist boxes with rational ones of every pairing."""
+    rows = []
+    for i in range(1, m + 1):
+        row = []
+        for _ in range(row_len(n, i)):
+            p, q = rng.randint(-7, 7), rng.randint(-7, 7)
+            if rng.random() < 0.5 and math.gcd(p, q) == 1:
+                row.append((p, q))
+            else:
+                row.append(rng.randint(-5, 5))
+        rows.append(row)
     return make_diagram(n, m, rows)
 
 

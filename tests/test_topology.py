@@ -19,6 +19,7 @@ from platsurf import (
 )
 from platsurf.topology import component_cycles
 from helpers import plat_cycle_count, random_all_twist, random_shape, trace_sides
+from helpers import random_mixed, union_find_components
 
 
 def test_straight_through_diagram_components():
@@ -87,6 +88,18 @@ def test_components_partition_segments():
         assert len(set(seen)) == len(seen)
         mins = [min(c) for c in t.components]
         assert mins == sorted(mins)
+
+
+def test_components_match_union_find_oracle():
+    # rational boxes of every pairing, caps included, and n = 1, 2 as well
+    rng = random.Random(47)
+    for _ in range(300):
+        n, m = rng.randint(1, 6), rng.choice((1, 3, 5, 7))
+        d = random_mixed(rng, n, m)
+        t = build_topology(d)
+        assert [sorted(c) for c in t.components] == union_find_components(d), d
+        for cid, comp in enumerate(t.components):
+            assert all(t.component_of(g, x) == cid for g, x in comp)
 
 
 def test_reflection_preserves_component_count():
