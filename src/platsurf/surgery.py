@@ -131,6 +131,7 @@ class ParityCheck:
 
     ``value`` is None when an odd-row end box is rational: the reading
     is defined for twist counts only, and the direct check stands alone.
+    It is None as well for n = 1, where odd rows hold no boxes at all.
     """
 
     value: bool | None
@@ -149,6 +150,10 @@ class ParityCheck:
 
 def parity_criterion(d: PlatDiagram) -> ParityCheck:
     """Some odd row starts odd and some odd row ends odd (twist boxes)."""
+    if d.n == 1:
+        return ParityCheck(
+            None, None, None, "odd rows hold no boxes; parity reading undefined"
+        )
     first = last = None
     for i in range(1, d.m + 1, 2):
         head, tail = d.box(i, 1), d.box(i, d.row_length(i))
@@ -219,7 +224,7 @@ class HakenCertificate:
             "path": None,
             "slopes": [str(s) for s in self.slopes],
             "totally_nontrivial": self.totally_nontrivial.to_dict(),
-            "coverage": self.coverage.to_dict() if self.coverage else None,
+            "coverage": self.coverage.to_dict() if self.coverage is not None else None,
             "parity_criterion": self.parity.to_dict(),
             "surfaces": [],
             "conclusions": [c.to_dict() for c in self.conclusions],

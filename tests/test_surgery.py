@@ -142,6 +142,22 @@ def test_haken_refuses_uncovered_components():
     assert cert.parity.value is False
 
 
+def test_haken_record_names_uncovered_components():
+    d = make_diagram(3, 3, EVEN_ENDS)
+    obj = json.loads(haken_certificate_json(certify_haken(d, parse_slopes("3/1,3/1,3/1"))))
+    assert obj["coverage"] == {"passed": False, "uncovered": [0, 2]}
+
+
+def test_haken_one_pair_is_a_two_bridge_refusal():
+    # odd rows hold no boxes when n = 1
+    d = make_diagram(1, 3, [[], [2], []])
+    cert = certify_haken(d, parse_slopes("3/1"))
+    assert not cert.certified
+    assert any("2-bridge" in r for r in cert.refusals)
+    assert cert.coverage is None
+    assert cert.parity.value is None and "no boxes" in cert.parity.note
+
+
 def test_haken_refuses_single_row_and_two_bridge():
     flat = make_diagram(4, 1, [[3, 4, 3]])
     k = build_topology(flat).component_count
