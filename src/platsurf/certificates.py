@@ -41,8 +41,8 @@ from .diagram import (
     canonical_diagram_bytes,
     check_hypotheses,
 )
-from .errors import ParameterError, PathError, TwoBridgeError
-from .paths import AllowablePath, check_allowable, extremal_paths
+from .errors import ParameterError, TwoBridgeError
+from .paths import AllowablePath, extremal_paths
 from .surfaces import (
     SphereDecomposition,
     SurfaceReport,
@@ -137,6 +137,26 @@ def _euler_footnote(dec: SphereDecomposition) -> str:
     )
 
 
+def hypothesis_refusals(hyp: HypothesisReport) -> list[str]:
+    """Refusal lines for the 2-bridge case or each failed hypothesis witness."""
+    if hyp.two_bridge:
+        return [
+            "n <= 2: the link is a 2-bridge link and its exterior contains "
+            "no closed essential surface; nothing here applies"
+        ]
+    refusals = [
+        f"condition (ii) fails: interior box (row {i}, box {j}) has value {value}"
+        for i, j, value in hyp.interior_zero_boxes
+    ]
+    bound = 3 if hyp.mode == STRICT else 2
+    refusals += [
+        f"condition (iii) fails: odd-row end box (row {i}, box {j}) "
+        f"has value {value}, denominator below {bound}"
+        for i, j, value in hyp.small_end_boxes
+    ]
+    return refusals
+
+
 def certify(
     d: PlatDiagram,
     path: AllowablePath | Sequence[int] | None = None,
@@ -155,24 +175,7 @@ def certify(
     hyp_mode = RELAXED if mode == MODE_RELAXED else STRICT
     hyp = check_hypotheses(d, hyp_mode)
 
-    refusals: list[str] = []
-    if hyp.two_bridge:
-        refusals.append(
-            "n <= 2: the link is a 2-bridge link and its exterior contains "
-            "no closed essential surface; nothing here applies"
-        )
-    elif not hyp.passed:
-        for i, j, value in hyp.interior_zero_boxes:
-            refusals.append(
-                f"condition (ii) fails: interior box (row {i}, box {j}) "
-                f"has value {value}"
-            )
-        for i, j, value in hyp.small_end_boxes:
-            bound = 3 if hyp_mode == STRICT else 2
-            refusals.append(
-                f"condition (iii) fails: odd-row end box (row {i}, box {j}) "
-                f"has value {value}, denominator below {bound}"
-            )
+    refusals = hypothesis_refusals(hyp)
     if mode == MODE_THEOREM1 and d.m == 1:
         refusals.append(
             "mode theorem1 covers m >= 3; single-row diagrams are the "
@@ -187,10 +190,7 @@ def certify(
     surfaces: tuple[SurfaceReport, ...] = ()
     dec: SphereDecomposition | None = None
     if path is not None:
-        check = check_allowable(d, path)
-        if not check:
-            raise PathError(check.reason or "path is not allowable")
-        chosen = AllowablePath(tuple(path))
+        chosen = AllowablePath.for_diagram(d, path)
     elif d.n >= 3:
         try:
             chosen, _ = extremal_paths(d)

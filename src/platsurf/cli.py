@@ -3,8 +3,8 @@
 Exit codes, uniformly: 0 for a positive verdict (valid, certified,
 exported), 1 for a well-formed refusal (hypotheses fail, certification
 refused, no paths to list), 2 for malformed input or parameters (bad
-JSON, even m, non-allowable --path, wrong slope arity, and argparse's
-own usage errors).
+JSON, even m, non-allowable --path, wrong slope arity, unreadable input
+or unwritable --out, and argparse's own usage errors).
 """
 
 from __future__ import annotations
@@ -62,14 +62,20 @@ def _parse_path(text: str) -> tuple[int, ...]:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as e:
+            raise PlatError(f"cannot write {out}: {e}") from e
     else:
         sys.stdout.write(text)
 
 
 def _emit_bytes(data: bytes, out: str | None) -> None:
     if out:
-        Path(out).write_bytes(data)
+        try:
+            Path(out).write_bytes(data)
+        except OSError as e:
+            raise PlatError(f"cannot write {out}: {e}") from e
     else:
         sys.stdout.buffer.write(data)
 
@@ -174,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="list or count allowable paths")
     p.add_argument("file")
     p.add_argument("--count", action="store_true", help="print the count only")
-    p.add_argument("--list", action="store_true", help="list paths (default)")
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("certify", help="emit a certificate for a diagram")

@@ -364,6 +364,9 @@ def diagram_from_json(text: str) -> PlatDiagram:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedDiagramError(f"diagram file is not valid JSON: {e}") from e
+    except (ValueError, RecursionError) as e:
+        # the interpreter's limits on integer digits and on nesting depth
+        raise MalformedDiagramError(f"diagram file exceeds a JSON limit: {e}") from e
     return from_json_dict(obj)
 
 

@@ -58,10 +58,7 @@ class AllowablePath:
     @classmethod
     def for_diagram(cls, d: PlatDiagram, entries: Sequence[int]) -> "AllowablePath":
         """Validate against d's shape; raises PathError when not allowable."""
-        check = check_allowable(d, entries)
-        if not check:
-            raise PathError(check.reason or "path is not allowable")
-        return cls(tuple(entries))
+        return cls(allowable_entries(d, entries))
 
     @property
     def m(self) -> int:
@@ -117,6 +114,17 @@ def check_allowable(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> Path
                 f"rows {i}->{i + 1}: step {prev}->{cur} not in {allowed}",
             )
     return PathCheck(True)
+
+
+def allowable_entries(
+    d: PlatDiagram, path: AllowablePath | Sequence[int]
+) -> tuple[int, ...]:
+    """The entries of ``path``; raises PathError when it is not allowable on d."""
+    entries = _entries(path)
+    check = check_allowable(d, entries)
+    if not check:
+        raise PathError(check.reason or "path is not allowable")
+    return entries
 
 
 def crossing_count(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> int:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .diagram import PlatDiagram, box_strands
-from .errors import ParameterError, PathError
-from .paths import AllowablePath, check_allowable, corridor_positions
+from .errors import ParameterError
+from .paths import AllowablePath, allowable_entries, corridor_positions
 
 _MARGIN = 40
 _DX = 36
@@ -25,10 +25,7 @@ _CAP = 24
 def _positions(d: PlatDiagram, path: AllowablePath | Sequence[int] | None):
     if path is None:
         return None
-    check = check_allowable(d, path)
-    if not check:
-        raise PathError(check.reason or "path is not allowable")
-    return corridor_positions(tuple(path))
+    return corridor_positions(allowable_entries(d, path))
 
 
 def render(

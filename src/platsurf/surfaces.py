@@ -35,7 +35,7 @@ from typing import Literal, Sequence
 
 from .diagram import PlatDiagram
 from .errors import PathError
-from .paths import AllowablePath, check_allowable
+from .paths import AllowablePath, allowable_entries
 from .topology import (
     build_topology,
     components_strictly_beside,
@@ -95,10 +95,7 @@ def decompose(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> SphereDeco
     box and clears the next one.  Each side receives (m + 1) / 2 arcs
     of the link: every intersection point bounds one arc on each side.
     """
-    check = check_allowable(d, path)
-    if not check:
-        raise PathError(check.reason or "path is not allowable")
-    entries = tuple(path)
+    entries = allowable_entries(d, path)
     t = build_topology(d)
     crossing = crossing_components(t, entries)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from typing import Sequence
 
 from .certificates import (
@@ -32,6 +31,7 @@ from .certificates import (
     FOOTNOTE_RATIONAL,
     Conclusion,
     diagram_digest,
+    hypothesis_refusals,
 )
 from .diagram import (
     STRICT,
@@ -42,59 +42,15 @@ from .diagram import (
 )
 from .errors import ParameterError, TwoBridgeError
 from .paths import extremal_paths
+from .tangles import TangleFraction
 from .topology import build_topology, components_strictly_beside
 
 MODE_SURGERY = "corollary2"
 
 
-@dataclasses.dataclass(frozen=True)
-class Slope:
-    """A reduced surgery slope p/q, q >= 0; 1/0 is the meridian."""
-
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 0:
-            raise ParameterError(f"slope {self.p}/{self.q} not canonical")
-        if self.q == 0 and self.p != 1:
-            raise ParameterError("the meridian slope is written 1/0")
-        if (self.p, self.q) == (0, 0):
-            raise ParameterError("0/0 is not a slope")
-        if math.gcd(abs(self.p), self.q) != 1:
-            raise ParameterError(f"slope {self.p}/{self.q} is not reduced")
-
-    @classmethod
-    def of(cls, p: int, q: int) -> "Slope":
-        if (p, q) == (0, 0):
-            raise ParameterError("0/0 is not a slope")
-        if q == 0:
-            return cls(1, 0)
-        if q < 0:
-            p, q = -p, -q
-        g = math.gcd(abs(p), q)
-        return cls(p // g, q // g)
-
-    @classmethod
-    def parse(cls, text: str) -> "Slope":
-        parts = text.strip().split("/")
-        try:
-            if len(parts) == 1:
-                return cls.of(int(parts[0]), 1)
-            if len(parts) == 2:
-                return cls.of(int(parts[0]), int(parts[1]))
-        except ValueError as e:
-            raise ParameterError(f"bad slope {text!r}") from e
-        raise ParameterError(f"bad slope {text!r}")
-
-    @property
-    def is_meridian(self) -> bool:
-        return self.q == 0
-
-    def __str__(self) -> str:
-        return f"{self.p}/{self.q}"
-
-
+# a surgery slope is a tangle fraction read as a slope on a component's
+# boundary torus; 1/0 is the meridian
+Slope = TangleFraction
 MERIDIAN = Slope(1, 0)
 
 
@@ -254,23 +210,7 @@ def certify_haken(d: PlatDiagram, slopes: Sequence[Slope]) -> HakenCertificate:
         )
 
     hyp = check_hypotheses(d, STRICT)
-    refusals: list[str] = []
-    if hyp.two_bridge:
-        refusals.append(
-            "n <= 2: the link is a 2-bridge link and its exterior contains "
-            "no closed essential surface; nothing here applies"
-        )
-    elif not hyp.passed:
-        for i, j, value in hyp.interior_zero_boxes:
-            refusals.append(
-                f"condition (ii) fails: interior box (row {i}, box {j}) "
-                f"has value {value}"
-            )
-        for i, j, value in hyp.small_end_boxes:
-            refusals.append(
-                f"condition (iii) fails: odd-row end box (row {i}, box {j}) "
-                f"has value {value}, denominator below 3"
-            )
+    refusals = hypothesis_refusals(hyp)
     if d.m == 1:
         refusals.append(
             "surgery certification covers m >= 3, matching the mode the "

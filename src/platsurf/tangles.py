@@ -34,7 +34,11 @@ from .errors import ParameterError
 
 @dataclasses.dataclass(frozen=True)
 class TangleFraction:
-    """A reduced slope p/q with q >= 0; 1/0 denotes the vertical tangle."""
+    """A reduced slope p/q with q >= 0; 1/0 denotes the vertical tangle.
+
+    The same type is the surgery slope of ``surgery``, where 1/0 is the
+    meridian.
+    """
 
     p: int
     q: int
@@ -60,6 +64,19 @@ class TangleFraction:
             p, q = -p, -q
         g = math.gcd(abs(p), q)
         return cls(p // g, q // g)
+
+    @classmethod
+    def parse(cls, text: str) -> "TangleFraction":
+        """Read ``p/q`` or ``p`` (for p/1), canonicalizing as ``of`` does."""
+        parts = text.strip().split("/")
+        try:
+            if len(parts) == 1:
+                return cls.of(int(parts[0]), 1)
+            if len(parts) == 2:
+                return cls.of(int(parts[0]), int(parts[1]))
+        except ValueError as e:
+            raise ParameterError(f"bad slope {text!r}") from e
+        raise ParameterError(f"bad slope {text!r}")
 
     @classmethod
     def from_continued_fraction(cls, terms: Iterable[int]) -> "TangleFraction":
@@ -91,6 +108,9 @@ class TangleFraction:
     @property
     def is_vertical(self) -> bool:
         return self.q == 0
+
+    # read as a surgery slope, the vertical 1/0 is the meridian
+    is_meridian = is_vertical
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"

@@ -47,7 +47,7 @@ from typing import Iterator, Literal, Sequence
 
 from .diagram import PlatDiagram, box_fraction, box_strands
 from .errors import PathError, UnsupportedBoxError
-from .paths import AllowablePath, check_allowable, corridor_positions
+from .paths import AllowablePath, allowable_entries, corridor_positions
 from .tangles import Pairing, pairing
 
 Segment = tuple[int, int]  # (gap, strand)
@@ -145,7 +145,9 @@ def _walk(
         exit_side = _TOP if nxt[2] == _BOT else _BOT
 
 
-@functools.lru_cache(maxsize=256)
+# one diagram is in use at a time (the CLI, certify, certify_haken), so a
+# small cache keeps hits while bounding the topologies it holds alive
+@functools.lru_cache(maxsize=8)
 def build_topology(d: PlatDiagram) -> LinkTopology:
     """Label every segment of d with its component, walking each cycle once."""
     links = _end_links(d)
@@ -208,18 +210,11 @@ def braid_permutation(d: PlatDiagram) -> tuple[int, ...]:
 # sphere / link intersections
 
 
-def _validated(t: LinkTopology, path: AllowablePath | Sequence[int]) -> tuple[int, ...]:
-    check = check_allowable(t.diagram, path)
-    if not check:
-        raise PathError(check.reason or "path is not allowable")
-    return tuple(path)
-
-
 def crossing_pieces(
     t: LinkTopology, path: AllowablePath | Sequence[int]
 ) -> tuple[Connector, ...]:
     """The m + 1 pieces of the link crossed by the path's sphere, in order."""
-    entries = _validated(t, path)
+    entries = allowable_entries(t.diagram, path)
     ps = corridor_positions(entries)
     pieces: list[Connector] = [("top_cap", (ps[0] + 1) // 2)]
     for g in range(1, t.m):
@@ -274,7 +269,7 @@ def components_strictly_beside(
     """
     if side not in ("left", "right"):
         raise PathError(f"side must be 'left' or 'right', got {side!r}")
-    entries = _validated(t, path)
+    entries = allowable_entries(t.diagram, path)
     thr = _side_thresholds(t.m, corridor_positions(entries))
     crossed = components_meeting_sphere(t, entries)
     keep = []

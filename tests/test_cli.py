@@ -56,6 +56,25 @@ def test_validate_malformed_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_hostile_inputs_exit_2(write_diagram, tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 3, "m": 1, "rows": [[%s, 3]]}' % ("7" * 5000))
+    assert main(["certify", str(huge)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["validate", str(deep)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+    d = write_diagram(ALL_THREES, 3, 3)
+    missing = tmp_path / "missing" / "cert.json"
+    assert main(["certify", d, "--out", str(missing)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert main(["render", d, "--out", str(missing)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_paths_list_and_count(write_diagram, capsys):
     d = write_diagram(ALL_THREES, 3, 3)
     assert main(["paths", d]) == 0
