@@ -152,15 +152,15 @@ def build_topology(d: PlatDiagram) -> LinkTopology:
     """Label every segment of d with its component, walking each cycle once."""
     links = _end_links(d)
     label: dict[Segment, int] = {}
-    comps: list[frozenset[Segment]] = []
+    comps: list[list[Segment]] = []
     for g in range(d.m + 1):
         for x in range(1, 2 * d.n + 1):
             if (g, x) not in label:
-                comp = frozenset(seg for seg, _ in _walk(links, (g, x)))
-                for seg in comp:
-                    label[seg] = len(comps)
-                comps.append(comp)
-    return LinkTopology(d, tuple(comps), label)
+                comps.append([seg for seg, _ in _walk(links, (g, x))])
+                for seg in comps[-1]:
+                    label[seg] = len(comps) - 1
+    del links  # free the end matching before the frozensets are built
+    return LinkTopology(d, tuple(frozenset(c) for c in comps), label)
 
 
 def component_cycles(d: PlatDiagram) -> tuple[tuple, ...]:
