@@ -147,12 +147,6 @@ def test_surgery_exit_codes(write_diagram, capsys):
     capsys.readouterr()
 
 
-def test_surgery_on_one_pair_is_a_refusal(write_diagram, capsys):
-    d = write_diagram([[], [2], []], 1, 3)
-    assert main(["surgery", d, "--slopes", "3/1"]) == 1
-    assert "2-bridge" in json.loads(capsys.readouterr().out)["refusals"][0]
-
-
 def test_export_formats(write_diagram, capsys):
     d = write_diagram(ALL_THREES, 3, 3)
     assert main(["export", d, "--format", "braid"]) == 0
