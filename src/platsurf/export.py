@@ -8,11 +8,17 @@ diagrams have a braid reading; the plat closure of the word (cap the
 top and bottom in pairs) recovers the link, and the permutation induced
 by the word matches the diagram's strand permutation.
 
-PD codes: every twist box is expanded into |a| stacked crossings, and
-the diagram becomes a 4-valent graph whose edges are the arcs between
-consecutive crossings.  Arcs are labeled 1, 2, 3, ... consecutively
-along each link component, components taken in canonical order and
-entered at a deterministic arc and direction, so the output is
+PD codes: every twist box is expanded into |a| stacked crossings,
+numbered in sweep order (rows top to bottom, boxes left to right, each
+box's crossings downward), and the diagram becomes a 4-valent graph
+whose edges are the arcs between consecutive crossings.  The arcs come
+from the walk of ``component_cycles``: each cycle lists the crossings
+its strand passes, downward through a box in increasing order and
+upward in decreasing order, leaving each crossing by the port diagonal
+to the one it entered by.  Arcs are labeled 1, 2, 3, ... consecutively
+along each link component, components taken in canonical order, each
+starting on the arc through its smallest segment and headed to that
+arc's end of lower (crossing, port) rank, so the output is
 reproducible byte for byte.  Each crossing is emitted as X(a, b, c, d):
 ``a`` is the label on the arc entering on the under-strand, and b, c, d
 follow counterclockwise (in page coordinates: west ports on the left,
@@ -30,11 +36,10 @@ carry crossings.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 from .diagram import PlatDiagram, Twist, box_strands
 from .errors import UnsupportedBoxError
-from .topology import build_topology
+from .topology import component_cycles, swap_permutation
 
 # ---------------------------------------------------------------------------
 # braid words
@@ -52,15 +57,9 @@ class BraidWord:
 
     def permutation(self) -> tuple[int, ...]:
         """Position permutation of the word, odd exponents transposing."""
-        perm = list(range(1, self.strands + 1))
-        for g, e in self.syllables:
-            if e % 2 != 0:
-                for x in range(self.strands):
-                    if perm[x] == g:
-                        perm[x] = g + 1
-                    elif perm[x] == g + 1:
-                        perm[x] = g
-        return tuple(perm)
+        return swap_permutation(
+            self.strands, ((g, g + 1) for g, e in self.syllables if e % 2 != 0)
+        )
 
 
 def to_braid_word(d: PlatDiagram) -> BraidWord:
@@ -79,8 +78,11 @@ def to_braid_word(d: PlatDiagram) -> BraidWord:
 # ---------------------------------------------------------------------------
 # PD codes
 
-_PORTS = ("NW", "SW", "SE", "NE")  # counterclockwise in page coordinates
-_DIAGONAL = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
+# a port is its rank counterclockwise in page coordinates; a strand leaves
+# a crossing by the port diagonally opposite the one it entered by
+_NW, _SW, _SE, _NE = range(4)
+_DIAGONAL = (_SE, _NE, _NW, _SW)
+_UNDER = {1: (_NW, _SE), -1: (_NE, _SW)}  # the under-strand's ports, by sign
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,103 +142,52 @@ def to_pd_code(d: PlatDiagram) -> PDCode:
     if d.twist_crossing_count == 0:
         raise UnsupportedBoxError("diagram has no crossings; PD code is undefined")
 
-    # sweep top to bottom: open[x] is the provisional arc label dangling in
-    # column x; crossings consume the two incoming labels and open two more
-    crossings: list[dict] = []  # {"sign": +-1, "ports": {port: label}}
-    endpoints: dict[int, list[tuple[int, str]]] = {}
-    fresh = itertools.count().__next__
+    # crossing ids in sweep order, each box's |a| crossings stacked downward
+    first: dict[tuple[int, int], int] = {}
+    signs: list[int] = []
+    for i, j, box in d.boxes():
+        if box.a != 0:
+            first[(i, j)] = len(signs)
+            signs += [1 if box.a > 0 else -1] * abs(box.a)
 
-    def new_label() -> int:
-        lab = fresh()
-        endpoints[lab] = []
-        return lab
-
-    open_label: dict[int, int] = {}
-    for j in range(1, d.n + 1):
-        lab = new_label()
-        open_label[2 * j - 1] = lab
-        open_label[2 * j] = lab
-
-    snapshots = [dict(open_label)]
-    for i in range(1, d.m + 1):
-        for j in range(1, d.row_length(i) + 1):
-            box = d.box(i, j)
-            if box.a == 0:
-                continue
-            s, t = box_strands(i, j)
-            sign = 1 if box.a > 0 else -1
-            for _ in range(abs(box.a)):
-                cid = len(crossings)
-                left_in, right_in = open_label[s], open_label[t]
-                endpoints[left_in].append((cid, "NW"))
-                endpoints[right_in].append((cid, "NE"))
-                out_l, out_r = new_label(), new_label()
-                endpoints[out_l].append((cid, "SW"))
-                endpoints[out_r].append((cid, "SE"))
-                open_label[s], open_label[t] = out_l, out_r
-                crossings.append({"sign": sign})
-        snapshots.append(dict(open_label))
-
-    # each bottom cap joins the two labels open above it into one arc.  A
-    # label is open in one column, or in both columns of one cap pair, so
-    # it takes part in at most one join and no chains form
-    arc_of: dict[int, int] = {}
-    for j in range(1, d.n + 1):
-        arc_of[open_label[2 * j]] = open_label[2 * j - 1]
-
-    # resolve provisional labels into arcs
-    arc_ends: dict[int, list[tuple[int, str]]] = {}
-    for lab, ends in endpoints.items():
-        arc_ends.setdefault(arc_of.get(lab, lab), []).extend(ends)
-    port_arc: dict[tuple[int, str], int] = {}
-    for arc, ends in arc_ends.items():
-        if not ends:
-            continue  # a crossing-free component; see the module docstring
-        if len(ends) != 2:
-            raise AssertionError(f"arc with {len(ends)} endpoints")
-        for end in ends:
-            port_arc[end] = arc
-
-    # canonical traversal: components in topological order, entered at the
-    # arc occupying the component's smallest segment
-    topo = build_topology(d)
-    final_label: dict[int, int] = {}
-    incoming: set[tuple[int, str]] = set()
+    labels = [[0] * 4 for _ in signs]  # arc label at each port
+    under_in = [0] * len(signs)  # the port the under-strand enters by
     next_label = 1
-    for comp in topo.components:
-        g0, x0 = min(comp)
-        lab = snapshots[g0][x0]
-        start_arc = arc_of.get(lab, lab)
-        if not arc_ends[start_arc]:
-            continue  # no crossings on this component
-        if start_arc in final_label:
-            raise AssertionError("component traversed twice")
-        first_end = min(
-            arc_ends[start_arc], key=lambda e: (e[0], _PORTS.index(e[1]))
+    for cycle in component_cycles(d):
+        walk = []  # (crossing, port in, port out) in the cycle's direction
+        for k in range(0, len(cycle), 2):
+            conn = cycle[k + 1]
+            if conn[0] != "box" or conn[1:] not in first:
+                continue
+            _, g, x = cycle[k]
+            _, i, j = conn
+            c0, count = first[(i, j)], abs(d.box(i, j).a)
+            if g == i - 1:  # entering the box from above
+                ports, ids = (_NW, _NE), range(c0, c0 + count)
+            else:
+                ports, ids = (_SW, _SE), range(c0 + count - 1, c0 - 1, -1)
+            column = 0 if x == box_strands(i, j)[0] else 1
+            for c in ids:
+                walk.append((c, ports[column], _DIAGONAL[ports[column]]))
+                column = 1 - column
+        if not walk:
+            continue  # a crossing-free component; see the module docstring
+        # the walk starts on the arc from its last crossing to its first;
+        # that arc is labelled first, headed to its lower-ranked end
+        if (walk[-1][0], walk[-1][2]) < (walk[0][0], walk[0][1]):
+            walk = [(c, p_out, p_in) for c, p_in, p_out in reversed(walk)]
+        for k, (c, p_in, p_out) in enumerate(walk):
+            labels[c][p_in] = next_label + k
+            labels[c][p_out] = next_label + (k + 1) % len(walk)
+            if p_in in _UNDER[signs[c]]:
+                under_in[c] = p_in
+        next_label += len(walk)
+
+    code = PDCode(
+        tuple(
+            tuple(arcs[(start + off) % 4] for off in range(4))
+            for arcs, start in zip(labels, under_in)
         )
-        arc, end = start_arc, first_end
-        while True:
-            if arc in final_label:
-                break
-            final_label[arc] = next_label
-            next_label += 1
-            incoming.add(end)
-            out_port = _DIAGONAL[end[1]]
-            arc = port_arc[(end[0], out_port)]
-            a1, a2 = arc_ends[arc]
-            end = a2 if a1 == (end[0], out_port) else a1
-
-    if len(final_label) != len(port_arc) // 2:
-        raise AssertionError("traversal missed arcs")
-
-    quads = []
-    for cid, data in enumerate(crossings):
-        under = ("NW", "SE") if data["sign"] > 0 else ("NE", "SW")
-        start = next(p for p in under if (cid, p) in incoming)
-        k = _PORTS.index(start)
-        ports = [_PORTS[(k + off) % 4] for off in range(4)]
-        quads.append(tuple(final_label[port_arc[(cid, p)]] for p in ports))
-
-    code = PDCode(tuple(quads))
+    )
     pd_validate(code)
     return code

@@ -36,11 +36,7 @@ from typing import Literal, Sequence
 from .diagram import PlatDiagram
 from .errors import PathError
 from .paths import AllowablePath, allowable_entries
-from .topology import (
-    build_topology,
-    components_strictly_beside,
-    crossing_components,
-)
+from .topology import build_topology, sphere_partition
 
 PLANAR = "planar"
 TUBED_LEFT = "tubed_left"
@@ -51,16 +47,23 @@ TUBED_RIGHT = "tubed_right"
 class SideSummary:
     """One side of a separating sphere.
 
-    ``boxes`` lists the (row, column) pairs on this side, ``arc_count``
-    the strings of the tangle the sphere cuts off there, and
+    ``boxes`` lists the (row, column) pairs on this side and
     ``loop_components`` the ids of link components lying entirely on
     this side (closed loops the sphere never touches).
     """
 
     side: Literal["left", "right"]
     boxes: frozenset[tuple[int, int]]
-    arc_count: int
     loop_components: tuple[int, ...]
+
+    @property
+    def arc_count(self) -> int:
+        """Strings of the tangle the sphere cuts off on this side, (m + 1) / 2.
+
+        An allowable path leaves at least one box of every row on each
+        side, so the last row among ``boxes`` is row m.
+        """
+        return (max(i for i, _ in self.boxes) + 1) // 2
 
     @property
     def loop_count(self) -> int:
@@ -96,8 +99,7 @@ def decompose(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> SphereDeco
     of the link: every intersection point bounds one arc on each side.
     """
     entries = allowable_entries(d, path)
-    t = build_topology(d)
-    crossing = crossing_components(t, entries)
+    crossing, left_loops, right_loops = sphere_partition(build_topology(d), entries)
 
     left_boxes = []
     right_boxes = []
@@ -105,19 +107,8 @@ def decompose(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> SphereDeco
         for j in range(1, d.row_length(i) + 1):
             (left_boxes if j <= a else right_boxes).append((i, j))
 
-    arcs = (d.m + 1) // 2
-    left = SideSummary(
-        "left",
-        frozenset(left_boxes),
-        arcs,
-        tuple(sorted(components_strictly_beside(t, entries, "left"))),
-    )
-    right = SideSummary(
-        "right",
-        frozenset(right_boxes),
-        arcs,
-        tuple(sorted(components_strictly_beside(t, entries, "right"))),
-    )
+    left = SideSummary("left", frozenset(left_boxes), tuple(sorted(left_loops)))
+    right = SideSummary("right", frozenset(right_boxes), tuple(sorted(right_loops)))
     return SphereDecomposition(d, AllowablePath(entries), crossing, left, right)
 
 

@@ -43,7 +43,7 @@ from .diagram import (
 from .errors import ParameterError, TwoBridgeError
 from .paths import extremal_paths
 from .tangles import TangleFraction
-from .topology import build_topology, components_strictly_beside
+from .topology import build_topology, sphere_partition
 
 MODE_SURGERY = "corollary2"
 
@@ -150,8 +150,7 @@ def direct_coverage_check(d: PlatDiagram) -> CoverageCheck:
         raise TwoBridgeError("coverage is undefined for n <= 2: no allowable spheres")
     low, high = extremal_paths(d)
     t = build_topology(d)
-    uncovered = set(components_strictly_beside(t, low, "left"))
-    uncovered |= components_strictly_beside(t, high, "right")
+    uncovered = sphere_partition(t, low.entries)[1] | sphere_partition(t, high.entries)[2]
     return CoverageCheck(not uncovered, tuple(sorted(uncovered)))
 
 

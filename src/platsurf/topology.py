@@ -31,8 +31,8 @@ does.
 A separating sphere along an allowable path meets the link in m + 1
 pieces: the top cap at pair (pos(1), pos(1)+1), one strand segment per
 interior gap, and the bottom cap at (pos(m), pos(m)+1).  In gap i the
-crossed segment sits at strand max(pos(i), pos(i+1)), which the
-``crossing_pieces`` formula writes as (pos(i) + pos(i+1) + 1) / 2; the
+crossed segment sits at strand max(pos(i), pos(i+1)), which
+``_crossed_strands`` writes as (pos(i) + pos(i+1) + 1) / 2; the
 geometric simulation in the tests backs this up.  Everything else in
 gap i is strictly left (x below the crossed strand) or strictly right
 (above it); at gaps 0 and m the corridor descends at pos +- 1/2, so the
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .diagram import PlatDiagram, box_fraction, box_strands
 from .errors import PathError, UnsupportedBoxError
@@ -181,6 +181,17 @@ def component_cycles(d: PlatDiagram) -> tuple[tuple, ...]:
     return tuple(cycles)
 
 
+def swap_permutation(strands: int, swaps: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Bottom position of each top position after transposing positions in turn."""
+    at = list(range(strands + 1))  # at[p]: the top position now at position p
+    for s, t in swaps:
+        at[s], at[t] = at[t], at[s]
+    perm = [0] * strands
+    for p in range(1, strands + 1):
+        perm[at[p] - 1] = p
+    return tuple(perm)
+
+
 def braid_permutation(d: PlatDiagram) -> tuple[int, ...]:
     """Position permutation induced by the rows, top to bottom.
 
@@ -189,53 +200,77 @@ def braid_permutation(d: PlatDiagram) -> tuple[int, ...]:
     meaningful here; a caps-paired rational box has no braid reading and
     raises UnsupportedBoxError.
     """
-    perm = list(range(1, 2 * d.n + 1))
-    for i, j, box in d.boxes():
-        kind = pairing(box_fraction(box))
-        if kind is Pairing.CAPS:
-            raise UnsupportedBoxError(
-                f"box ({i}, {j}) has a caps pairing and no braid form"
-            )
-        if kind is Pairing.THROUGH_SWAP:
-            s, t = box_strands(i, j)
-            for x in range(len(perm)):
-                if perm[x] == s:
-                    perm[x] = t
-                elif perm[x] == t:
-                    perm[x] = s
-    return tuple(perm)
+
+    def swaps() -> Iterator[tuple[int, int]]:
+        for i, j, box in d.boxes():
+            kind = pairing(box_fraction(box))
+            if kind is Pairing.CAPS:
+                raise UnsupportedBoxError(
+                    f"box ({i}, {j}) has a caps pairing and no braid form"
+                )
+            if kind is Pairing.THROUGH_SWAP:
+                yield box_strands(i, j)
+
+    return swap_permutation(2 * d.n, swaps())
 
 
 # ---------------------------------------------------------------------------
 # sphere / link intersections
 
 
+def _crossed_strands(entries: Sequence[int]) -> list[int]:
+    """The strand of the segment the sphere crosses in each gap 0..m.
+
+    In gaps 0 and m that is the left strand of the crossed cap.  Strand
+    x in gap g lies left of the sphere iff x is below this strand, right
+    iff above.
+    """
+    ps = corridor_positions(entries)
+    return [ps[0]] + [(p + q + 1) // 2 for p, q in zip(ps, ps[1:])] + [ps[-1]]
+
+
+def sphere_partition(
+    t: LinkTopology, entries: Sequence[int]
+) -> tuple[tuple[int, ...], frozenset[int], frozenset[int]]:
+    """Crossed component ids, top to bottom, and the sets strictly left and right.
+
+    ``entries`` must already have passed ``allowable_entries``.  The
+    crossed components, the left set, and the right set partition all
+    component ids; the test suite checks the partition on random
+    diagrams.
+    """
+    strands = _crossed_strands(entries)
+    crossing = tuple(t.component_of(g, x) for g, x in enumerate(strands))
+    met = set(crossing)
+    left, right = [], []
+    for cid, comp in enumerate(t.components):
+        if cid in met:
+            continue
+        # a missed component has no segment on a crossed strand
+        if all(x < strands[g] for g, x in comp):
+            left.append(cid)
+        elif all(x > strands[g] for g, x in comp):
+            right.append(cid)
+    return crossing, frozenset(left), frozenset(right)
+
+
 def crossing_pieces(
     t: LinkTopology, path: AllowablePath | Sequence[int]
 ) -> tuple[Connector, ...]:
     """The m + 1 pieces of the link crossed by the path's sphere, in order."""
-    entries = allowable_entries(t.diagram, path)
-    ps = corridor_positions(entries)
-    pieces: list[Connector] = [("top_cap", (ps[0] + 1) // 2)]
-    for g in range(1, t.m):
-        pieces.append(("segment", g, (ps[g - 1] + ps[g] + 1) // 2))
-    pieces.append(("bottom_cap", (ps[-1] + 1) // 2))
-    return tuple(pieces)
+    strands = _crossed_strands(allowable_entries(t.diagram, path))
+    return (
+        ("top_cap", (strands[0] + 1) // 2),
+        *(("segment", g, strands[g]) for g in range(1, t.m)),
+        ("bottom_cap", (strands[-1] + 1) // 2),
+    )
 
 
 def crossing_components(
     t: LinkTopology, path: AllowablePath | Sequence[int]
 ) -> tuple[int, ...]:
     """Component id of each crossed piece, top to bottom (with repeats)."""
-    out = []
-    for piece in crossing_pieces(t, path):
-        if piece[0] == "top_cap":
-            out.append(t.top_cap_component(piece[1]))
-        elif piece[0] == "bottom_cap":
-            out.append(t.bottom_cap_component(piece[1]))
-        else:
-            out.append(t.component_of(piece[1], piece[2]))
-    return tuple(out)
+    return sphere_partition(t, allowable_entries(t.diagram, path))[0]
 
 
 def components_meeting_sphere(
@@ -243,15 +278,6 @@ def components_meeting_sphere(
 ) -> frozenset[int]:
     """Ids of the components the path's sphere intersects."""
     return frozenset(crossing_components(t, path))
-
-
-def _side_thresholds(m: int, positions: tuple[int, ...]) -> list[int]:
-    # strand x in gap g is left of the corridor iff x < thr[g], right iff >
-    thr = [positions[0]]
-    for g in range(1, m):
-        thr.append((positions[g - 1] + positions[g] + 1) // 2)
-    thr.append(positions[-1])
-    return thr
 
 
 def components_strictly_beside(
@@ -262,24 +288,9 @@ def components_strictly_beside(
     """Components lying entirely on one side of the path's sphere.
 
     A component qualifies when the sphere misses it and every one of its
-    segments sits on the given side of the corridor in its gap.  The
-    crossed components, the left set, and the right set partition all
-    component ids; the test suite checks the partition on random
-    diagrams.
+    segments sits on the given side of the corridor in its gap.
     """
     if side not in ("left", "right"):
         raise PathError(f"side must be 'left' or 'right', got {side!r}")
-    entries = allowable_entries(t.diagram, path)
-    thr = _side_thresholds(t.m, corridor_positions(entries))
-    crossed = components_meeting_sphere(t, entries)
-    keep = []
-    for cid, comp in enumerate(t.components):
-        if cid in crossed:
-            continue
-        if side == "left":
-            ok = all(x < thr[g] for g, x in comp)
-        else:
-            ok = all(x > thr[g] for g, x in comp)
-        if ok:
-            keep.append(cid)
-    return frozenset(keep)
+    _, left, right = sphere_partition(t, allowable_entries(t.diagram, path))
+    return left if side == "left" else right

@@ -4,8 +4,9 @@ Each function here recomputes something the library also computes, by a
 different route: brute-force enumeration instead of recursive descent,
 generic segment intersection instead of the closed-form crossing count,
 a permutation pairing graph and union-find on segments instead of the
-walk over segment ends, and a run-counting walk along each component
-instead of side thresholds.
+walk over segment ends, a run-counting walk along each component
+instead of side thresholds, and a top-to-bottom sweep of arc labels
+instead of the component walk for PD codes.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import itertools
 import math
 import random
 
-from platsurf import PlatDiagram, make_diagram
-from platsurf.topology import component_cycles
+from platsurf import PDCode, PlatDiagram, Twist, UnsupportedBoxError, make_diagram
+from platsurf.diagram import box_strands
+from platsurf.export import pd_validate
+from platsurf.topology import build_topology, component_cycles
 
 
 def row_len(n: int, i: int) -> int:
@@ -264,6 +267,131 @@ def trace_sides(d: PlatDiagram, entries: tuple[int, ...], cycles=None) -> dict:
         "beside_left": beside["left"],
         "beside_right": beside["right"],
     }
+
+
+# ---------------------------------------------------------------------------
+# PD code by a top-to-bottom sweep of provisional arc labels
+
+
+_PORTS = ("NW", "SW", "SE", "NE")  # counterclockwise in page coordinates
+_DIAGONAL = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
+
+
+def sweep_pd_code(d: PlatDiagram) -> PDCode:
+    """PD code of an all-twist diagram, labelled by sweeping the rows.
+
+    Crossings get provisional labels on their ports row by row, bottom
+    caps join the labels open above them, and each component is then
+    traversed from the arc on its smallest segment.
+    """
+    for i, j, box in d.boxes():
+        if not isinstance(box, Twist):
+            raise UnsupportedBoxError(
+                f"box ({i}, {j}) is rational; expand it before exporting a PD code"
+            )
+    if d.twist_crossing_count == 0:
+        raise UnsupportedBoxError("diagram has no crossings; PD code is undefined")
+
+    # sweep top to bottom: open[x] is the provisional arc label dangling in
+    # column x; crossings consume the two incoming labels and open two more
+    crossings: list[dict] = []  # {"sign": +-1, "ports": {port: label}}
+    endpoints: dict[int, list[tuple[int, str]]] = {}
+    fresh = itertools.count().__next__
+
+    def new_label() -> int:
+        lab = fresh()
+        endpoints[lab] = []
+        return lab
+
+    open_label: dict[int, int] = {}
+    for j in range(1, d.n + 1):
+        lab = new_label()
+        open_label[2 * j - 1] = lab
+        open_label[2 * j] = lab
+
+    snapshots = [dict(open_label)]
+    for i in range(1, d.m + 1):
+        for j in range(1, d.row_length(i) + 1):
+            box = d.box(i, j)
+            if box.a == 0:
+                continue
+            s, t = box_strands(i, j)
+            sign = 1 if box.a > 0 else -1
+            for _ in range(abs(box.a)):
+                cid = len(crossings)
+                left_in, right_in = open_label[s], open_label[t]
+                endpoints[left_in].append((cid, "NW"))
+                endpoints[right_in].append((cid, "NE"))
+                out_l, out_r = new_label(), new_label()
+                endpoints[out_l].append((cid, "SW"))
+                endpoints[out_r].append((cid, "SE"))
+                open_label[s], open_label[t] = out_l, out_r
+                crossings.append({"sign": sign})
+        snapshots.append(dict(open_label))
+
+    # each bottom cap joins the two labels open above it into one arc.  A
+    # label is open in one column, or in both columns of one cap pair, so
+    # it takes part in at most one join and no chains form
+    arc_of: dict[int, int] = {}
+    for j in range(1, d.n + 1):
+        arc_of[open_label[2 * j]] = open_label[2 * j - 1]
+
+    # resolve provisional labels into arcs
+    arc_ends: dict[int, list[tuple[int, str]]] = {}
+    for lab, ends in endpoints.items():
+        arc_ends.setdefault(arc_of.get(lab, lab), []).extend(ends)
+    port_arc: dict[tuple[int, str], int] = {}
+    for arc, ends in arc_ends.items():
+        if not ends:
+            continue  # a crossing-free component
+        if len(ends) != 2:
+            raise AssertionError(f"arc with {len(ends)} endpoints")
+        for end in ends:
+            port_arc[end] = arc
+
+    # canonical traversal: components in topological order, entered at the
+    # arc occupying the component's smallest segment
+    topo = build_topology(d)
+    final_label: dict[int, int] = {}
+    incoming: set[tuple[int, str]] = set()
+    next_label = 1
+    for comp in topo.components:
+        g0, x0 = min(comp)
+        lab = snapshots[g0][x0]
+        start_arc = arc_of.get(lab, lab)
+        if not arc_ends[start_arc]:
+            continue  # no crossings on this component
+        if start_arc in final_label:
+            raise AssertionError("component traversed twice")
+        first_end = min(
+            arc_ends[start_arc], key=lambda e: (e[0], _PORTS.index(e[1]))
+        )
+        arc, end = start_arc, first_end
+        while True:
+            if arc in final_label:
+                break
+            final_label[arc] = next_label
+            next_label += 1
+            incoming.add(end)
+            out_port = _DIAGONAL[end[1]]
+            arc = port_arc[(end[0], out_port)]
+            a1, a2 = arc_ends[arc]
+            end = a2 if a1 == (end[0], out_port) else a1
+
+    if len(final_label) != len(port_arc) // 2:
+        raise AssertionError("traversal missed arcs")
+
+    quads = []
+    for cid, data in enumerate(crossings):
+        under = ("NW", "SE") if data["sign"] > 0 else ("NE", "SW")
+        start = next(p for p in under if (cid, p) in incoming)
+        k = _PORTS.index(start)
+        ports = [_PORTS[(k + off) % 4] for off in range(4)]
+        quads.append(tuple(final_label[port_arc[(cid, p)]] for p in ports))
+
+    code = PDCode(tuple(quads))
+    pd_validate(code)
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,12 @@ from platsurf import (
     to_pd_code,
 )
 from platsurf.export import pd_validate
-from helpers import plat_cycle_count
+from helpers import (
+    plat_cycle_count,
+    random_all_twist,
+    random_mixed,
+    sweep_pd_code,
+)
 
 
 def test_braid_word_frozen():
@@ -136,6 +141,34 @@ def test_pd_well_formed_on_random_diagrams():
         pd_validate(code)
         assert code.crossing_count == d.twist_crossing_count
         assert pd_trace_components(code) == build_topology(d).component_count
+
+
+def _pd_text_or_refusal(export, d):
+    try:
+        return export(d).text()
+    except UnsupportedBoxError as exc:
+        return type(exc), str(exc)
+
+
+def test_pd_code_matches_sweep_oracle():
+    # byte for byte against the sweep, on all-twist diagrams with zero
+    # boxes, negative twists and crossing-free components, and on mixed
+    # diagrams whose rational boxes must be refused alike
+    rng = random.Random(79)
+    refused = dropped = 0
+    for k in range(1500):
+        n, m = rng.randint(1, 7), rng.choice(range(1, 16, 2))
+        if k % 10 == 0:
+            d = random_mixed(rng, n, m)
+        else:
+            d = random_all_twist(rng, n, m, spread=rng.choice((1, 2, 5)))
+        mine = _pd_text_or_refusal(to_pd_code, d)
+        assert mine == _pd_text_or_refusal(sweep_pd_code, d), d
+        if isinstance(mine, tuple):
+            refused += 1
+        elif pd_trace_components(to_pd_code(d)) < build_topology(d).component_count:
+            dropped += 1
+    assert refused > 50 and dropped > 50, (refused, dropped)
 
 
 def test_pd_labels_run_consecutively_from_one():
