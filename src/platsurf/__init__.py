@@ -36,6 +36,7 @@ from .diagram import (
 )
 from .errors import (
     MalformedDiagramError,
+    MalformedPDCodeError,
     ParameterError,
     PathError,
     PlatError,
@@ -103,6 +104,7 @@ __all__ = [
     "HypothesisReport",
     "LinkTopology",
     "MalformedDiagramError",
+    "MalformedPDCodeError",
     "MERIDIAN",
     "MODE_COMPOSITE",
     "MODE_RELAXED",

@@ -29,7 +29,6 @@ the checker.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from typing import Sequence
 
@@ -38,7 +37,6 @@ from .diagram import (
     STRICT,
     HypothesisReport,
     PlatDiagram,
-    canonical_diagram_bytes,
     check_hypotheses,
 )
 from .errors import ParameterError, TwoBridgeError
@@ -80,8 +78,8 @@ FOOTNOTE_RATIONAL = (
 
 
 def diagram_digest(d: PlatDiagram) -> str:
-    """sha256 hex digest of the canonical diagram encoding."""
-    return hashlib.sha256(canonical_diagram_bytes(d)).hexdigest()
+    """sha256 hex digest of the canonical diagram encoding, kept on the diagram."""
+    return d.digest
 
 
 @dataclasses.dataclass(frozen=True)

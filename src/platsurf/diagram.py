@@ -23,18 +23,27 @@ the certified statements about essential surfaces apply:
 
 "Denominator" of a box means q of its canonical slope, so |a| for a
 twist box.  The hypotheses constrain denominators only; signs are free.
+
+Everything the hypotheses and the link walk need of a box fits in one
+byte, ``3 * min(q, 3) + code``, where ``code`` is 0, 1 or 2 for the
+through-identity, through-swap and caps pairing (``Pairing`` order).
+``PlatDiagram.slope_table`` holds these bytes, one ``bytes`` per row,
+computed once per diagram.  A diagram also computes its hash, digest
+and all-twist flag once and keeps them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
 import math
 import random
 from typing import Any, Iterator, Sequence, Union
 
 from .errors import MalformedDiagramError, ParameterError
-from .tangles import TangleFraction
+from .tangles import Pairing, TangleFraction, incompressibility_level, pairing
 
 STRICT = "strict"
 RELAXED = "relaxed"
@@ -87,6 +96,23 @@ def box_fraction(box: TangleBox) -> TangleFraction:
 def box_denominator(box: TangleBox) -> int:
     """q >= 0 of the canonical slope; |a| for a twist box."""
     return box_fraction(box).q
+
+
+# pairing codes of the slope table, in the order Pairing lists them
+IDENTITY, SWAP, CAPS = range(3)
+_PAIRING_CODE = {kind: code for code, kind in enumerate(Pairing)}
+
+
+def _slope_code(box: TangleBox) -> int:
+    """``3 * incompressibility_level + pairing code`` of a box's slope.
+
+    A twist box a has slope 1/a: level min(|a|, 3), and it swaps its
+    strands exactly when a is odd.
+    """
+    if isinstance(box, Twist):
+        return 3 * min(abs(box.a), 3) + (box.a & 1)
+    f = box_fraction(box)
+    return 3 * incompressibility_level(f) + _PAIRING_CODE[pairing(f)]
 
 
 def row_length(n: int, i: int) -> int:
@@ -149,7 +175,28 @@ class PlatDiagram:
             for j, box in enumerate(row, 1):
                 yield i, j, box
 
-    @property
+    # The fields are frozen, so values derived from them are computed on
+    # first use and kept in the instance __dict__; equality still compares
+    # the fields alone.
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash((self.n, self.m, self.rows))
+            return h
+
+    @functools.cached_property
+    def slope_table(self) -> tuple[bytes, ...]:
+        """Per row, the ``_slope_code`` of each box, left to right."""
+        return tuple(bytes(_slope_code(b) for b in row) for row in self.rows)
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """sha256 hex digest of the canonical diagram encoding."""
+        return hashlib.sha256(canonical_diagram_bytes(self)).hexdigest()
+
+    @functools.cached_property
     def is_all_twist(self) -> bool:
         return all(isinstance(b, Twist) for _, _, b in self.boxes())
 
@@ -250,14 +297,15 @@ def check_hypotheses(d: PlatDiagram, mode: str = STRICT) -> HypothesisReport:
 
     interior_zero = []
     small_ends = []
-    for i, j, box in d.boxes():
-        length = d.row_length(i)
-        is_end = j in _ends(length)
-        den = box_denominator(box)
-        if not is_end and den == 0:
-            interior_zero.append((i, j, _box_json(box)))
-        if i % 2 == 1 and is_end and den < end_bound:
-            small_ends.append((i, j, _box_json(box)))
+    for i, (row, codes) in enumerate(zip(d.rows, d.slope_table), 1):
+        ends = _ends(len(codes))
+        for j, code in enumerate(codes, 1):
+            level = code // 3  # min(denominator, 3)
+            is_end = j in ends
+            if not is_end and level == 0:
+                interior_zero.append((i, j, _box_json(row[j - 1])))
+            if i % 2 == 1 and is_end and level < end_bound:
+                small_ends.append((i, j, _box_json(row[j - 1])))
 
     return HypothesisReport(
         mode=mode,

@@ -32,3 +32,7 @@ class TwoBridgeError(PlatError):
 
 class UnsupportedBoxError(PlatError):
     """A box's tangle cannot be expressed in the requested form."""
+
+
+class MalformedPDCodeError(PlatError):
+    """A PD code's arc labels do not each appear exactly twice."""

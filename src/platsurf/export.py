@@ -38,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 
 from .diagram import PlatDiagram, Twist, box_strands
-from .errors import UnsupportedBoxError
+from .errors import MalformedPDCodeError, UnsupportedBoxError
 from .topology import component_cycles, swap_permutation
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def pd_validate(code: PDCode) -> None:
     expected = set(range(1, 2 * len(code.crossings) + 1))
     bad = {k: v for k, v in seen.items() if v != 2}
     if bad or set(seen) != expected:
-        raise ValueError(f"malformed PD code: label counts {sorted(seen.items())}")
+        raise MalformedPDCodeError(f"malformed PD code: label counts {sorted(seen.items())}")
 
 
 def to_pd_code(d: PlatDiagram) -> PDCode:

@@ -15,11 +15,21 @@ strand connects them:
 
 Every segment end is joined to exactly one other, so the joins form a
 perfect matching on ends and each link component is one cycle through
-it.  ``build_topology`` scans segments in (gap, strand) lexicographic
-order and walks the cycle of each segment not yet labelled, leaving it
-downward.  Each component is thus found from its smallest segment, and
-the ids come out canonical: components ordered by their smallest
-segment, numbered from 0.  ``component_cycles`` records the same walk.
+it.  The matching is a flat list of integers.  With w = 2n strands,
+segment (g, x) has index g * w + x - 1, so the index order is the
+(gap, strand) lexicographic order, and its top and bottom ends are the
+end indices 2 * seg and 2 * seg + 1.  ``link[e]`` is the end joined to
+end e.  A walk that leaves a segment by end e enters the next segment
+by ``link[e]`` and leaves that one by the other end, ``link[e] ^ 1``.
+A caps-paired box turns the walk around, and the ``^ 1`` step follows
+without a case of its own.
+
+``build_topology`` scans segments in index order and walks the cycle of
+each segment not yet labelled, leaving it downward.  Each component is
+thus found from its smallest segment, and the ids come out canonical:
+components ordered by their smallest segment, numbered from 0.
+``component_cycles`` records the same walk, reading each connector
+(cap, box or straight stretch) off the end it leaves by.
 
 ``braid_permutation`` gives an independent route to the same count: the
 permutation that the rows induce on strand positions, read top to
@@ -45,52 +55,83 @@ import dataclasses
 import functools
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .diagram import PlatDiagram, box_fraction, box_strands
+from .diagram import CAPS, IDENTITY, SWAP, PlatDiagram, box_strands
 from .errors import PathError, UnsupportedBoxError
 from .paths import AllowablePath, allowable_entries, corridor_positions
-from .tangles import Pairing, pairing
 
 Segment = tuple[int, int]  # (gap, strand)
-_TOP = 0
-_BOT = 1
-End = tuple[int, int, int]  # (gap, strand, _TOP | _BOT)
-
-
 Connector = tuple  # ("top_cap", j) | ("bottom_cap", j) | ("box", i, j) | ("straight", i, x)
 
 
-def _end_links(d: PlatDiagram) -> dict[End, tuple[End, Connector]]:
+def _end_links(d: PlatDiagram) -> list[int]:
     """The perfect matching on segment ends induced by caps, boxes, rows."""
-    links: dict[End, tuple[End, Connector]] = {}
-
-    def join(e1: End, e2: End, conn: Connector) -> None:
-        links[e1] = (e2, conn)
-        links[e2] = (e1, conn)
-
-    for j in range(1, d.n + 1):
-        join((0, 2 * j - 1, _TOP), (0, 2 * j, _TOP), ("top_cap", j))
-        join((d.m, 2 * j - 1, _BOT), (d.m, 2 * j, _BOT), ("bottom_cap", j))
-
-    for i in range(1, d.m + 1):
-        covered: set[int] = set()
-        for j in range(1, d.row_length(i) + 1):
-            s, t = box_strands(i, j)
-            covered.update((s, t))
-            kind = pairing(box_fraction(d.box(i, j)))
-            if kind is Pairing.THROUGH_IDENTITY:
-                join((i - 1, s, _BOT), (i, s, _TOP), ("box", i, j))
-                join((i - 1, t, _BOT), (i, t, _TOP), ("box", i, j))
-            elif kind is Pairing.THROUGH_SWAP:
-                join((i - 1, s, _BOT), (i, t, _TOP), ("box", i, j))
-                join((i - 1, t, _BOT), (i, s, _TOP), ("box", i, j))
+    w, m = 2 * d.n, d.m
+    # first every end as a straight stretch: the bottom end of (g, x) meets
+    # the top end of (g + 1, x); that points outside the list for the top
+    # ends of gap 0 and the bottom ends of gap m, which the caps then set
+    step = 2 * w - 1
+    link = [e + step if e & 1 else e - step for e in range(2 * w * (m + 1))]
+    last = 2 * w * m  # the top end of segment (m, 1)
+    for e in range(0, 2 * w, 4):
+        link[e], link[e + 2] = e + 2, e
+        link[last + e + 1], link[last + e + 3] = last + e + 3, last + e + 1
+    for i, codes in enumerate(d.slope_table, 1):
+        for j, code in enumerate(codes, 1):
+            kind = code % 3
+            if kind == IDENTITY:  # the straight joins already stand
+                continue
+            s = box_strands(i, j)[0]
+            up = 2 * ((i - 1) * w + s - 1) + 1  # bottom end of (i - 1, s)
+            down = up + step  # top end of (i, s)
+            if kind == SWAP:
+                link[up], link[down + 2] = down + 2, up
+                link[up + 2], link[down] = down, up + 2
             else:  # caps: both upper ends meet, both lower ends meet
-                join((i - 1, s, _BOT), (i - 1, t, _BOT), ("box", i, j))
-                join((i, s, _TOP), (i, t, _TOP), ("box", i, j))
-        for x in range(1, 2 * d.n + 1):
-            if x not in covered:
-                join((i - 1, x, _BOT), (i, x, _TOP), ("straight", i, x))
+                link[up], link[up + 2] = up + 2, up
+                link[down], link[down + 2] = down + 2, down
+    return link
 
-    return links
+
+def _cycles(d: PlatDiagram) -> Iterator[list[int]]:
+    """Each component's cycle as the ends its segments are left by.
+
+    Components come in canonical order, each walked from its smallest
+    segment leaving downward.
+    """
+    link = _end_links(d)
+    seen = bytearray(len(link) // 2)
+    for seg in range(len(seen)):
+        if seen[seg]:
+            continue
+        e = start = 2 * seg + 1
+        ends = []
+        while True:
+            ends.append(e)
+            seen[e >> 1] = 1
+            e = link[e] ^ 1
+            if e == start:
+                break
+        yield ends
+
+
+def _connector(d: PlatDiagram, e: int) -> Connector:
+    """The cap, box or straight stretch joining end e to its partner."""
+    w = 2 * d.n
+    g, x = divmod(e >> 1, w)
+    x += 1
+    if e & 1:  # a bottom end meets the row below its gap
+        if g == d.m:
+            return ("bottom_cap", (x + 1) // 2)
+        i = g + 1
+    else:
+        if g == 0:
+            return ("top_cap", (x + 1) // 2)
+        i = g
+    if i % 2 == 0:
+        return ("box", i, (x + 1) // 2)
+    if x == 1 or x == w:  # odd rows leave the outer strands uncovered
+        return ("straight", i, x)
+    return ("box", i, x // 2)
 
 
 @dataclasses.dataclass(eq=False)
@@ -99,7 +140,7 @@ class LinkTopology:
 
     diagram: PlatDiagram
     components: tuple[frozenset[Segment], ...]
-    _label: dict[Segment, int] = dataclasses.field(repr=False)
+    _label: list[int] = dataclasses.field(repr=False)  # by segment index
 
     @property
     def n(self) -> int:
@@ -114,10 +155,10 @@ class LinkTopology:
         return len(self.components)
 
     def component_of(self, gap: int, strand: int) -> int:
-        try:
-            return self._label[(gap, strand)]
-        except KeyError:
-            raise PathError(f"no segment (gap {gap}, strand {strand})") from None
+        # checked first: a negative flat index would wrap round silently
+        if not (0 <= gap <= self.m and 1 <= strand <= 2 * self.n):
+            raise PathError(f"no segment (gap {gap}, strand {strand})")
+        return self._label[gap * 2 * self.n + strand - 1]
 
     def top_cap_component(self, j: int) -> int:
         return self.component_of(0, 2 * j - 1)
@@ -126,41 +167,24 @@ class LinkTopology:
         return self.component_of(self.m, 2 * j - 1)
 
 
-def _walk(
-    links: dict[End, tuple[End, Connector]], start: Segment
-) -> Iterator[tuple[Segment, Connector]]:
-    """The cycle through ``start``, leaving it downward.
-
-    Yields each segment with the connector crossed on leaving it.  A
-    caps-paired box turns the walk around, so the side it leaves by is
-    tracked rather than assumed.
-    """
-    seg, exit_side = start, _BOT
-    while True:
-        nxt, conn = links[(seg[0], seg[1], exit_side)]
-        yield seg, conn
-        seg = nxt[:2]
-        if seg == start:
-            return
-        exit_side = _TOP if nxt[2] == _BOT else _BOT
-
-
 # one diagram is in use at a time (the CLI, certify, certify_haken), so a
 # small cache keeps hits while bounding the topologies it holds alive
 @functools.lru_cache(maxsize=8)
 def build_topology(d: PlatDiagram) -> LinkTopology:
     """Label every segment of d with its component, walking each cycle once."""
-    links = _end_links(d)
-    label: dict[Segment, int] = {}
-    comps: list[list[Segment]] = []
-    for g in range(d.m + 1):
-        for x in range(1, 2 * d.n + 1):
-            if (g, x) not in label:
-                comps.append([seg for seg, _ in _walk(links, (g, x))])
-                for seg in comps[-1]:
-                    label[seg] = len(comps) - 1
-    del links  # free the end matching before the frozensets are built
-    return LinkTopology(d, tuple(frozenset(c) for c in comps), label)
+    w = 2 * d.n
+    label = [0] * (w * (d.m + 1))
+    comps = []
+    for cid, ends in enumerate(_cycles(d)):
+        segs = [e >> 1 for e in ends]
+        for seg in segs:
+            label[seg] = cid
+        comps.append(segs)
+    return LinkTopology(
+        d,
+        tuple(frozenset((seg // w, seg % w + 1) for seg in c) for c in comps),
+        label,
+    )
 
 
 def component_cycles(d: PlatDiagram) -> tuple[tuple, ...]:
@@ -171,12 +195,13 @@ def component_cycles(d: PlatDiagram) -> tuple[tuple, ...]:
     canonical segment headed downward.  Caps-paired boxes reverse the
     vertical direction; the traversal follows them.
     """
-    links = _end_links(d)
+    w = 2 * d.n
     cycles = []
-    for comp in build_topology(d).components:
+    for ends in _cycles(d):
         cycle: list[tuple] = []
-        for seg, conn in _walk(links, min(comp)):
-            cycle += [("segment",) + seg, conn]
+        for e in ends:
+            g, x = divmod(e >> 1, w)
+            cycle += [("segment", g, x + 1), _connector(d, e)]
         cycles.append(tuple(cycle))
     return tuple(cycles)
 
@@ -202,14 +227,15 @@ def braid_permutation(d: PlatDiagram) -> tuple[int, ...]:
     """
 
     def swaps() -> Iterator[tuple[int, int]]:
-        for i, j, box in d.boxes():
-            kind = pairing(box_fraction(box))
-            if kind is Pairing.CAPS:
-                raise UnsupportedBoxError(
-                    f"box ({i}, {j}) has a caps pairing and no braid form"
-                )
-            if kind is Pairing.THROUGH_SWAP:
-                yield box_strands(i, j)
+        for i, codes in enumerate(d.slope_table, 1):
+            for j, code in enumerate(codes, 1):
+                kind = code % 3
+                if kind == CAPS:
+                    raise UnsupportedBoxError(
+                        f"box ({i}, {j}) has a caps pairing and no braid form"
+                    )
+                if kind == SWAP:
+                    yield box_strands(i, j)
 
     return swap_permutation(2 * d.n, swaps())
 

@@ -1,12 +1,14 @@
 """Diagram structure, hypotheses, random generation, serialization."""
 
 import json
+import math
 import random
 
 import pytest
 
 from platsurf import (
     MalformedDiagramError,
+    Pairing,
     ParameterError,
     PlatDiagram,
     Rational,
@@ -14,12 +16,16 @@ from platsurf import (
     box_denominator,
     box_fraction,
     check_hypotheses,
+    diagram_digest,
     diagram_from_json,
     diagram_to_json,
+    incompressibility_level,
     make_diagram,
+    pairing,
+    pairing_by_tracing,
     random_diagram,
 )
-from platsurf.diagram import RELAXED, from_json_dict, to_json_dict
+from platsurf.diagram import RELAXED, from_json_dict, row_length, to_json_dict
 from platsurf.surgery import parity_criterion
 
 
@@ -194,3 +200,54 @@ def test_direct_construction_validates():
         PlatDiagram(0, 1, ())
     with pytest.raises(MalformedDiagramError):
         PlatDiagram(3, 1, ((Twist(3), "bad"),))
+
+
+def _seeded_boxes():
+    """Twists 0, +-1, +-2, +-10**30 and rationals of all three pairings, 1/0 too."""
+    rng = random.Random(59)
+    boxes = [Twist(a) for a in (0, 1, -1, 2, -2, 10**30, -(10**30), 10**30 + 1)]
+    boxes += [Rational(p, q) for p, q in ((1, 0), (-1, 0), (0, 1), (7, 2), (5, 3), (-4, 5))]
+    boxes += [Twist(rng.randint(-9, 9)) for _ in range(60)]
+    while len(boxes) < 200:
+        p, q = rng.randint(-40, 40), rng.randint(-40, 40)
+        if (p, q) != (0, 0) and math.gcd(p, q) == 1:
+            boxes.append(Rational(p, q))
+    return boxes
+
+
+def _packed(boxes, n=5):
+    """A diagram holding the boxes in reading order, padded with Twist(3)."""
+    rows, rest, i = [], list(boxes), 1
+    while rest or len(rows) % 2 == 0:
+        take = row_length(n, i)
+        rows.append(tuple((rest[:take] + [Twist(3)] * take)[:take]))
+        rest, i = rest[take:], i + 1
+    return PlatDiagram(n, len(rows), tuple(rows))
+
+
+def test_slope_table_matches_fraction_and_pairing():
+    d = _packed(_seeded_boxes())
+    assert [len(codes) for codes in d.slope_table] == [len(r) for r in d.rows]
+    assert all(isinstance(codes, bytes) for codes in d.slope_table)
+    kinds = list(Pairing)
+    for i, j, box in d.boxes():
+        level, kind = divmod(d.slope_table[i - 1][j - 1], 3)
+        f = box_fraction(box)
+        assert level == incompressibility_level(f) == min(box_denominator(box), 3), box
+        assert kinds[kind] is pairing(f), box
+        # each half twist of the trace exchanges two endpoints, an
+        # involution, so only the parity of each term matters to it
+        terms = [abs(t) % 2 for t in f.continued_fraction()]
+        assert kinds[kind] is pairing_by_tracing(terms), box
+    assert {code % 3 for codes in d.slope_table for code in codes} == {0, 1, 2}
+
+
+def test_hash_is_kept_and_equality_compares_fields():
+    d = make_diagram(3, 3, [[3, 4], [3, [7, 2], -3], [3, 5]])
+    same = diagram_from_json(diagram_to_json(d))
+    assert d is not same
+    assert hash(d) == hash(same) == hash((d.n, d.m, d.rows))
+    assert d == same and diagram_digest(d) == diagram_digest(same)
+    mirror = d.reflected()
+    assert mirror != d and diagram_digest(mirror) != diagram_digest(d)
+    assert not mirror.is_all_twist and mirror.reflected() == d

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from platsurf import (
+    MalformedPDCodeError,
     PDCode,
     UnsupportedBoxError,
     braid_permutation,
@@ -131,6 +132,12 @@ def test_pd_validate_rejects_bad_codes():
     with pytest.raises(ValueError, match="malformed"):
         pd_validate(PDCode(((1, 1, 1, 2), (2, 3, 3, 4))))
     pd_validate(PDCode(((1, 1, 2, 2),)))
+
+
+def test_pd_validate_raises_a_package_error():
+    # a PlatError, so the CLI reports it with exit 2 rather than a traceback
+    with pytest.raises(MalformedPDCodeError):
+        pd_validate(PDCode(((1, 2, 3, 4),)))
 
 
 def test_pd_well_formed_on_random_diagrams():

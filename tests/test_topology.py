@@ -44,6 +44,10 @@ def test_component_of_unknown_segment():
         t.component_of(2, 1)
     with pytest.raises(PathError):
         t.component_of(0, 7)
+    # just outside each bound; a flat label list would wrap round on -1
+    for gap, strand in ((-1, 1), (0, 0), (-1, 6), (1, -1)):
+        with pytest.raises(PathError):
+            t.component_of(gap, strand)
 
 
 def test_all_threes_knot_and_permutation():
@@ -127,6 +131,44 @@ def test_component_cycles_cover_each_segment_once():
             assert all(el[0] != "segment" for el in cycle[1::2])
             assert sorted(segs) == sorted(comp)
             assert segs[0] == min(comp)
+
+
+def _joined(conn, n, m):
+    """The segments a connector touches."""
+    if conn[0] in ("top_cap", "bottom_cap"):
+        g = 0 if conn[0] == "top_cap" else m
+        return {(g, 2 * conn[1] - 1), (g, 2 * conn[1])}
+    if conn[0] == "straight":
+        _, i, x = conn
+        assert i % 2 == 1 and x in (1, 2 * n)  # only odd rows leave strands bare
+        return {(i - 1, x), (i, x)}
+    _, i, j = conn
+    assert 1 <= j <= (n - 1 if i % 2 == 1 else n)
+    s = 2 * j if i % 2 == 1 else 2 * j - 1
+    return {(g, x) for g in (i - 1, i) for x in (s, s + 1)}
+
+
+def test_cycle_connectors_join_their_neighbours():
+    rng = random.Random(43)
+    for _ in range(200):
+        n, m = rng.randint(1, 6), rng.choice((1, 3, 5, 7))
+        d = random_mixed(rng, n, m)
+        for cycle in component_cycles(d):
+            segs = [el[1:] for el in cycle[0::2]]
+            for k, conn in enumerate(cycle[1::2]):
+                pair = {segs[k], segs[(k + 1) % len(segs)]}
+                assert pair <= _joined(conn, n, m), (d, segs[k], conn)
+
+
+def test_equal_diagrams_share_a_topology_and_mirrors_do_not():
+    d = make_diagram(3, 3, [[3, 5], [3, 3, 3], [4, 3]])
+    same = make_diagram(3, 3, [[3, 5], [3, 3, 3], [4, 3]])
+    assert hash(d) == hash(same)
+    assert build_topology(d) is build_topology(same)
+    mirror = d.reflected()
+    assert mirror != d
+    assert build_topology(mirror) is not build_topology(d)
+    assert build_topology(mirror).diagram == mirror
 
 
 def test_crossing_pieces_frozen():
