@@ -4,7 +4,9 @@ Exit codes, uniformly: 0 for a positive verdict (valid, certified,
 exported), 1 for a well-formed refusal (hypotheses fail, certification
 refused, no paths to list), 2 for malformed input or parameters (bad
 JSON, even m, non-allowable --path, wrong slope arity, unreadable input
-or unwritable --out, and argparse's own usage errors).
+or unwritable --out, over-limit PD exports, and argparse's own usage
+errors), 3 for an internal fault of platsurf itself, reported on one
+stderr line.
 """
 
 from __future__ import annotations
@@ -238,6 +240,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PlatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a fault of platsurf itself must not read as a refusal
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

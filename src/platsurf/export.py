@@ -31,6 +31,9 @@ omitted from the output, and a diagram with no crossings at all is an
 error.  On diagrams satisfying the strict hypotheses this never drops
 anything: every component runs through some odd-row box, and those all
 carry crossings.
+
+A PD code costs memory in proportion to its crossings, so a diagram
+with more than ``MAX_PD_CROSSINGS`` is refused before anything is built.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ from __future__ import annotations
 import dataclasses
 
 from .diagram import PlatDiagram, Twist, box_strands
-from .errors import MalformedPDCodeError, UnsupportedBoxError
+from .errors import MalformedPDCodeError, ParameterError, UnsupportedBoxError
 from .topology import component_cycles, swap_permutation
+
+MAX_PD_CROSSINGS = 10**6
 
 # ---------------------------------------------------------------------------
 # braid words
@@ -139,8 +144,13 @@ def to_pd_code(d: PlatDiagram) -> PDCode:
             raise UnsupportedBoxError(
                 f"box ({i}, {j}) is rational; expand it before exporting a PD code"
             )
-    if d.twist_crossing_count == 0:
+    crossings = d.twist_crossing_count
+    if crossings == 0:
         raise UnsupportedBoxError("diagram has no crossings; PD code is undefined")
+    if crossings > MAX_PD_CROSSINGS:
+        raise ParameterError(
+            f"diagram has {crossings} crossings; PD codes are limited to {MAX_PD_CROSSINGS}"
+        )
 
     # crossing ids in sweep order, each box's |a| crossings stacked downward
     first: dict[tuple[int, int], int] = {}

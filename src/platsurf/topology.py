@@ -28,6 +28,9 @@ without a case of its own.
 each segment not yet labelled, leaving it downward.  Each component is
 thus found from its smallest segment, and the ids come out canonical:
 components ordered by their smallest segment, numbered from 0.
+``LinkTopology`` keeps only the flat list of segment labels and each
+component's start segment; ``components``, the segment sets, is built
+from the labels on each access.
 ``component_cycles`` records the same walk, reading each connector
 (cap, box or straight stretch) off the end it leaves by.
 
@@ -46,7 +49,9 @@ crossed segment sits at strand max(pos(i), pos(i+1)), which
 geometric simulation in the tests backs this up.  Everything else in
 gap i is strictly left (x below the crossed strand) or strictly right
 (above it); at gaps 0 and m the corridor descends at pos +- 1/2, so the
-threshold is pos itself.
+threshold is pos itself.  A component the sphere misses is connected and
+has no crossed segment, so it lies wholly on one side, and its start
+segment decides which.
 """
 
 from __future__ import annotations
@@ -139,8 +144,8 @@ class LinkTopology:
     """Link components of a diagram, with canonical integer ids."""
 
     diagram: PlatDiagram
-    components: tuple[frozenset[Segment], ...]
     _label: list[int] = dataclasses.field(repr=False)  # by segment index
+    _starts: list[int] = dataclasses.field(repr=False)  # by component id
 
     @property
     def n(self) -> int:
@@ -152,7 +157,18 @@ class LinkTopology:
 
     @property
     def component_count(self) -> int:
-        return len(self.components)
+        return len(self._starts)
+
+    # rebuilt on each access: kept, the sets would outweigh the labels
+    # many times over in every cached topology
+    @property
+    def components(self) -> tuple[frozenset[Segment], ...]:
+        """Each component's segments as (gap, strand) pairs."""
+        w = 2 * self.n
+        comps: list[list[Segment]] = [[] for _ in self._starts]
+        for seg, cid in enumerate(self._label):
+            comps[cid].append((seg // w, seg % w + 1))
+        return tuple(map(frozenset, comps))
 
     def component_of(self, gap: int, strand: int) -> int:
         # checked first: a negative flat index would wrap round silently
@@ -172,19 +188,13 @@ class LinkTopology:
 @functools.lru_cache(maxsize=8)
 def build_topology(d: PlatDiagram) -> LinkTopology:
     """Label every segment of d with its component, walking each cycle once."""
-    w = 2 * d.n
-    label = [0] * (w * (d.m + 1))
-    comps = []
+    label = [0] * (2 * d.n * (d.m + 1))
+    starts = []
     for cid, ends in enumerate(_cycles(d)):
-        segs = [e >> 1 for e in ends]
-        for seg in segs:
-            label[seg] = cid
-        comps.append(segs)
-    return LinkTopology(
-        d,
-        tuple(frozenset((seg // w, seg % w + 1) for seg in c) for c in comps),
-        label,
-    )
+        starts.append(ends[0] >> 1)
+        for e in ends:
+            label[e >> 1] = cid
+    return LinkTopology(d, label, starts)
 
 
 def component_cycles(d: PlatDiagram) -> tuple[tuple, ...]:
@@ -268,15 +278,12 @@ def sphere_partition(
     strands = _crossed_strands(entries)
     crossing = tuple(t.component_of(g, x) for g, x in enumerate(strands))
     met = set(crossing)
+    w = 2 * t.n
     left, right = [], []
-    for cid, comp in enumerate(t.components):
-        if cid in met:
-            continue
-        # a missed component has no segment on a crossed strand
-        if all(x < strands[g] for g, x in comp):
-            left.append(cid)
-        elif all(x > strands[g] for g, x in comp):
-            right.append(cid)
+    for cid, seg in enumerate(t._starts):
+        if cid not in met:  # wholly on one side; see the module docstring
+            g, x = divmod(seg, w)
+            (left if x + 1 < strands[g] else right).append(cid)
     return crossing, frozenset(left), frozenset(right)
 
 

@@ -1,10 +1,11 @@
-"""Command line behavior: exit codes 0 (positive), 1 (refusal), 2 (bad input)."""
+"""Command line behavior: exit codes 0 (positive), 1 (refusal), 2 (bad
+input), 3 (internal fault)."""
 
 import json
 
 import pytest
 
-from platsurf import diagram_to_json, make_diagram
+from platsurf import cli, diagram_to_json, make_diagram
 from platsurf.cli import main
 
 ALL_THREES = [[3, 3], [3, 3, 3], [3, 3]]
@@ -66,6 +67,10 @@ def test_hostile_inputs_exit_2(write_diagram, tmp_path, capsys):
     deep.write_text("[" * 200_000 + "]" * 200_000)
     assert main(["validate", str(deep)]) == 2
     assert "error:" in capsys.readouterr().err
+
+    twist = write_diagram([[10**12, 0]], 3, 1, "twist.json")
+    assert main(["export", twist, "--format", "pd"]) == 2
+    assert "limited to" in capsys.readouterr().err
 
     d = write_diagram(ALL_THREES, 3, 3)
     missing = tmp_path / "missing" / "cert.json"
@@ -215,6 +220,17 @@ def test_info_output(write_diagram, capsys):
     assert "twist crossings: 21" in out
     assert "allowable paths: 2" in out
     assert "tubed surface genus: 2" in out
+
+
+def test_internal_fault_exits_3(write_diagram, capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_info", crash)
+    assert main(["info", write_diagram(ALL_THREES, 3, 3)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_usage_errors_exit_2():

@@ -7,6 +7,7 @@ import pytest
 
 from platsurf import (
     MalformedPDCodeError,
+    ParameterError,
     PDCode,
     UnsupportedBoxError,
     braid_permutation,
@@ -119,6 +120,12 @@ def test_pd_crossing_free_component_is_dropped():
 def test_pd_requires_a_crossing():
     with pytest.raises(UnsupportedBoxError, match="no crossings"):
         to_pd_code(make_diagram(3, 1, [[0, 0]]))
+
+
+def test_pd_refuses_a_twist_past_the_crossing_limit():
+    # refused from the crossing count, before a slot per crossing is allocated
+    with pytest.raises(ParameterError, match="limited to"):
+        to_pd_code(make_diagram(3, 1, [[10**12, 0]]))
 
 
 def test_pd_rejects_rational_boxes():
