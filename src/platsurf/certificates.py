@@ -33,13 +33,14 @@ import json
 from typing import Sequence
 
 from .diagram import (
+    END_BOUND,
     RELAXED,
     STRICT,
     HypothesisReport,
     PlatDiagram,
     check_hypotheses,
 )
-from .errors import ParameterError, TwoBridgeError
+from .errors import ParameterError
 from .paths import AllowablePath, extremal_paths
 from .surfaces import (
     SphereDecomposition,
@@ -58,6 +59,41 @@ CITE_THEOREM1 = "Theorem 1"
 CITE_COROLLARY2 = "Corollary 2"
 CITE_REMARK1 = "Remark 1"
 CITE_REMARK3 = "Remark 3"
+
+_PLANAR = (
+    "the planar surface along the certified path is essential in the link exterior",
+    CITE_REMARK1,
+)
+# what a certificate of each mode concludes, as (statement, cite) pairs;
+# {genus} is the genus (m + 1) / 2 of the closed tubed surfaces
+_CONCLUSIONS = {
+    MODE_THEOREM1: (
+        ("the link exterior is irreducible", CITE_THEOREM1),
+        _PLANAR,
+        (
+            "the closed genus-{genus} surface tubing the planar surface on "
+            "the left is essential in the link exterior",
+            CITE_THEOREM1,
+        ),
+        (
+            "the closed genus-{genus} surface tubing the planar surface on "
+            "the right is essential in the link exterior",
+            CITE_THEOREM1,
+        ),
+    ),
+    MODE_RELAXED: (_PLANAR,),
+    MODE_COMPOSITE: (
+        (
+            "the link is composite and nonsplit, and its exterior is irreducible",
+            CITE_REMARK3,
+        ),
+        (
+            "both closed surfaces along the certified path are essential "
+            "swallow-follow tori",
+            CITE_REMARK3,
+        ),
+    ),
+}
 
 FOOTNOTE_INDEXING = (
     "Indexing caveat: the published index bounds in conditions (ii) and "
@@ -146,10 +182,9 @@ def hypothesis_refusals(hyp: HypothesisReport) -> list[str]:
         f"condition (ii) fails: interior box (row {i}, box {j}) has value {value}"
         for i, j, value in hyp.interior_zero_boxes
     ]
-    bound = 3 if hyp.mode == STRICT else 2
     refusals += [
         f"condition (iii) fails: odd-row end box (row {i}, box {j}) "
-        f"has value {value}, denominator below {bound}"
+        f"has value {value}, denominator below {END_BOUND[hyp.mode]}"
         for i, j, value in hyp.small_end_boxes
     ]
     return refusals
@@ -190,60 +225,17 @@ def certify(
     if path is not None:
         chosen = AllowablePath.for_diagram(d, path)
     elif d.n >= 3:
-        try:
-            chosen, _ = extremal_paths(d)
-        except TwoBridgeError:  # pragma: no cover - guarded by n >= 3
-            chosen = None
+        chosen, _ = extremal_paths(d)
     if chosen is not None:
         dec = decompose(d, chosen)
         surfaces = surface_invariants(dec)
 
     certified = not refusals
-    conclusions: list[Conclusion] = []
-    if certified:
-        genus = (d.m + 1) // 2
-        if mode == MODE_THEOREM1:
-            conclusions.append(
-                Conclusion("the link exterior is irreducible", CITE_THEOREM1)
-            )
-            conclusions.append(
-                Conclusion(
-                    "the planar surface along the certified path is essential "
-                    "in the link exterior",
-                    CITE_REMARK1,
-                )
-            )
-            for side in ("left", "right"):
-                conclusions.append(
-                    Conclusion(
-                        f"the closed genus-{genus} surface tubing the planar "
-                        f"surface on the {side} is essential in the link exterior",
-                        CITE_THEOREM1,
-                    )
-                )
-        elif mode == MODE_RELAXED:
-            conclusions.append(
-                Conclusion(
-                    "the planar surface along the certified path is essential "
-                    "in the link exterior",
-                    CITE_REMARK1,
-                )
-            )
-        else:
-            conclusions.append(
-                Conclusion(
-                    "the link is composite and nonsplit, and its exterior is "
-                    "irreducible",
-                    CITE_REMARK3,
-                )
-            )
-            conclusions.append(
-                Conclusion(
-                    "both closed surfaces along the certified path are "
-                    "essential swallow-follow tori",
-                    CITE_REMARK3,
-                )
-            )
+    genus = (d.m + 1) // 2
+    conclusions = tuple(
+        Conclusion(statement.format(genus=genus), cite)
+        for statement, cite in (_CONCLUSIONS[mode] if certified else ())
+    )
 
     footnotes = [FOOTNOTE_INDEXING, FOOTNOTE_EPISTEMIC]
     if not d.is_all_twist:
@@ -258,7 +250,7 @@ def certify(
         hypotheses=hyp,
         path=chosen,
         surfaces=surfaces,
-        conclusions=tuple(conclusions),
+        conclusions=conclusions,
         refusals=tuple(refusals),
         footnotes=tuple(footnotes),
     )

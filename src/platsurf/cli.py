@@ -6,13 +6,15 @@ refused, no paths to list), 2 for malformed input or parameters (bad
 JSON, even m, non-allowable --path, wrong slope arity, unreadable input
 or unwritable --out, over-limit PD exports, and argparse's own usage
 errors), 3 for an internal fault of platsurf itself, reported on one
-stderr line.
+stderr line.  A closed stdout, as in ``platsurf paths d.json | head -1``,
+ends the command by SIGPIPE (shell status 141) where the platform has it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -246,6 +248,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # Python ignores SIGPIPE, so a closed stdout would surface as a
+    # BrokenPipeError, an internal fault; the default action ends the process
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main(sys.argv[1:]))
 
 

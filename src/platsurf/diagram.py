@@ -28,8 +28,9 @@ Everything the hypotheses and the link walk need of a box fits in one
 byte, ``3 * min(q, 3) + code``, where ``code`` is 0, 1 or 2 for the
 through-identity, through-swap and caps pairing (``Pairing`` order).
 ``PlatDiagram.slope_table`` holds these bytes, one ``bytes`` per row,
-computed once per diagram.  A diagram also computes its hash, digest
-and all-twist flag once and keeps them.
+computed once per diagram.  A diagram also computes its digest and
+all-twist flag once and keeps them, and ``topology.build_topology``
+keeps the labels of its link components on it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from .tangles import Pairing, TangleFraction, incompressibility_level, pairing
 
 STRICT = "strict"
 RELAXED = "relaxed"
+# per hypothesis mode, the least denominator condition (iii) asks of an odd-row end box
+END_BOUND = {STRICT: 3, RELAXED: 2}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,15 +179,8 @@ class PlatDiagram:
                 yield i, j, box
 
     # The fields are frozen, so values derived from them are computed on
-    # first use and kept in the instance __dict__; equality still compares
-    # the fields alone.
-
-    def __hash__(self) -> int:
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = hash((self.n, self.m, self.rows))
-            return h
+    # first use and kept in the instance __dict__, the component labels of
+    # build_topology among them; equality and hashing read the fields alone.
 
     @functools.cached_property
     def slope_table(self) -> tuple[bytes, ...]:
@@ -291,9 +287,9 @@ def _box_json(box: TangleBox) -> Any:
 
 def check_hypotheses(d: PlatDiagram, mode: str = STRICT) -> HypothesisReport:
     """Check conditions (i)-(iii); relaxed mode lowers the end bound to 2."""
-    if mode not in (STRICT, RELAXED):
+    if mode not in END_BOUND:
         raise ParameterError(f"unknown hypothesis mode {mode!r}")
-    end_bound = 3 if mode == STRICT else 2
+    end_bound = END_BOUND[mode]
 
     interior_zero = []
     small_ends = []

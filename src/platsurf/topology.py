@@ -28,9 +28,10 @@ without a case of its own.
 each segment not yet labelled, leaving it downward.  Each component is
 thus found from its smallest segment, and the ids come out canonical:
 components ordered by their smallest segment, numbered from 0.
-``LinkTopology`` keeps only the flat list of segment labels and each
-component's start segment; ``components``, the segment sets, is built
-from the labels on each access.
+The flat list of segment labels and each component's start segment are
+kept on the diagram, like its slope table, so the link is walked once
+per diagram instance.  ``LinkTopology`` is a view over the two lists;
+``components``, the segment sets, is built from the labels on each access.
 ``component_cycles`` records the same walk, reading each connector
 (cap, box or straight stretch) off the end it leaves by.
 
@@ -57,7 +58,6 @@ segment decides which.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .diagram import CAPS, IDENTITY, SWAP, PlatDiagram, box_strands
@@ -160,7 +160,7 @@ class LinkTopology:
         return len(self._starts)
 
     # rebuilt on each access: kept, the sets would outweigh the labels
-    # many times over in every cached topology
+    # many times over on every diagram
     @property
     def components(self) -> tuple[frozenset[Segment], ...]:
         """Each component's segments as (gap, strand) pairs."""
@@ -183,17 +183,21 @@ class LinkTopology:
         return self.component_of(self.m, 2 * j - 1)
 
 
-# one diagram is in use at a time (the CLI, certify, certify_haken), so a
-# small cache keeps hits while bounding the topologies it holds alive
-@functools.lru_cache(maxsize=8)
 def build_topology(d: PlatDiagram) -> LinkTopology:
-    """Label every segment of d with its component, walking each cycle once."""
-    label = [0] * (2 * d.n * (d.m + 1))
-    starts = []
-    for cid, ends in enumerate(_cycles(d)):
-        starts.append(ends[0] >> 1)
-        for e in ends:
-            label[e >> 1] = cid
+    """Label every segment of d with its component, walking each cycle once.
+
+    The labels are kept on d itself, not in a cache, and are freed with d.
+    """
+    try:
+        label, starts = d.__dict__["_components"]
+    except KeyError:
+        label = [0] * (2 * d.n * (d.m + 1))
+        starts = []
+        for cid, ends in enumerate(_cycles(d)):
+            starts.append(ends[0] >> 1)
+            for e in ends:
+                label[e >> 1] = cid
+        d.__dict__["_components"] = label, starts
     return LinkTopology(d, label, starts)
 
 

@@ -2,10 +2,15 @@
 input), 3 (internal fault)."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from platsurf import cli, diagram_to_json, make_diagram
+from platsurf import cli, diagram_to_json, make_diagram, random_diagram
 from platsurf.cli import main
 
 ALL_THREES = [[3, 3], [3, 3, 3], [3, 3]]
@@ -231,6 +236,33 @@ def test_internal_fault_exits_3(write_diagram, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_stdout_ends_by_sigpipe(tmp_path):
+    # 4374 paths, more than a pipe buffer holds, so the child is still
+    # writing when the reader goes away
+    src = tmp_path / "d.json"
+    src.write_text(diagram_to_json(random_diagram(4, 15, seed=1)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "platsurf.cli", "paths", str(src)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert first == b"1," * 14 + b"1\n"
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""
 
 
 def test_usage_errors_exit_2():

@@ -1,21 +1,29 @@
 """Link components, braid permutation, and sphere intersection data."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from platsurf import (
     PathError,
+    Slope,
     UnsupportedBoxError,
     braid_permutation,
     build_topology,
+    certify,
+    certify_haken,
     components_meeting_sphere,
     components_strictly_beside,
     crossing_components,
     crossing_pieces,
+    diagram_from_json,
+    diagram_to_json,
     enumerate_allowable,
     make_diagram,
     random_diagram,
+    topology,
 )
 from platsurf.topology import component_cycles
 from helpers import plat_cycle_count, random_all_twist, random_shape, trace_sides
@@ -160,15 +168,15 @@ def test_cycle_connectors_join_their_neighbours():
                 assert pair <= _joined(conn, n, m), (d, segs[k], conn)
 
 
-def test_equal_diagrams_share_a_topology_and_mirrors_do_not():
+def test_equal_diagrams_get_equal_topologies_and_mirrors_their_own():
     d = make_diagram(3, 3, [[3, 5], [3, 3, 3], [4, 3]])
     same = make_diagram(3, 3, [[3, 5], [3, 3, 3], [4, 3]])
     assert hash(d) == hash(same)
-    assert build_topology(d) is build_topology(same)
+    assert build_topology(d).components == build_topology(same).components
     mirror = d.reflected()
     assert mirror != d
-    assert build_topology(mirror) is not build_topology(d)
     assert build_topology(mirror).diagram == mirror
+    assert build_topology(mirror).components != build_topology(d).components
 
 
 def test_crossing_pieces_frozen():
@@ -258,7 +266,33 @@ def test_sphere_path_must_be_allowable():
         components_strictly_beside(t, (1, 1, 1), "up")
 
 
-def test_build_topology_is_cached():
+def test_build_topology_is_cached(monkeypatch):
+    walks = []
+    cycles = topology._cycles
+
+    def counted(d):
+        walks.append(d)
+        return cycles(d)
+
+    monkeypatch.setattr(topology, "_cycles", counted)
     d = make_diagram(3, 3, [[3, 3], [3, 3, 3], [3, 3]])
-    same = make_diagram(3, 3, [[3, 3], [3, 3, 3], [3, 3]])
-    assert build_topology(d) is build_topology(same)
+    first = build_topology(d)
+    again = build_topology(d)
+    assert walks == [d]
+    assert again.diagram is d and again.components == first.components
+
+
+def test_a_diagram_is_freed_with_its_topology():
+    # with the collector off only reference counting frees the diagram, so
+    # a cache or a reference cycle through its topology would keep it alive
+    gc.disable()
+    try:
+        d = diagram_from_json(diagram_to_json(random_diagram(3, 5, seed=3)))
+        ref = weakref.ref(d)
+        slopes = (Slope(3, 1),) * build_topology(d).component_count
+        certify(d)
+        certify_haken(d, slopes)
+        del d
+        assert ref() is None
+    finally:
+        gc.enable()
