@@ -51,6 +51,7 @@ from .paths import (
     crossing_count,
     enumerate_allowable,
     extremal_paths,
+    iter_allowable,
 )
 from .render import render
 from .surfaces import (
@@ -154,6 +155,7 @@ __all__ = [
     "haken_certificate_json",
     "incompressibility_level",
     "is_totally_nontrivial",
+    "iter_allowable",
     "make_diagram",
     "pairing",
     "pairing_by_tracing",

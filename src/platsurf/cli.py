@@ -37,7 +37,7 @@ from .diagram import (
 )
 from .errors import PlatError
 from .export import to_braid_word, to_pd_code
-from .paths import count_allowable, enumerate_allowable
+from .paths import count_allowable, iter_allowable
 from .render import render
 from .surgery import certify_haken, haken_certificate_json, parse_slopes
 from .topology import build_topology
@@ -96,7 +96,6 @@ def cmd_paths(args: argparse.Namespace) -> int:
     if args.count:
         print(count_allowable(d.n, d.m))
         return 0
-    paths = enumerate_allowable(d)
     if d.n <= 2:
         print(
             "no allowable paths: n <= 2 is the 2-bridge case, which the "
@@ -104,7 +103,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    for p in paths:
+    for p in iter_allowable(d):  # streamed: the count grows exponentially in m
         print(",".join(str(a) for a in p.entries))
     return 0
 

@@ -12,10 +12,12 @@ PD codes: every twist box is expanded into |a| stacked crossings,
 numbered in sweep order (rows top to bottom, boxes left to right, each
 box's crossings downward), and the diagram becomes a 4-valent graph
 whose edges are the arcs between consecutive crossings.  The arcs come
-from the walk of ``component_cycles``: each cycle lists the crossings
-its strand passes, downward through a box in increasing order and
-upward in decreasing order, leaving each crossing by the port diagonal
-to the one it entered by.  Arcs are labeled 1, 2, 3, ... consecutively
+from the segment-end walk of the topology module, one cycle of ends per
+link component.  The row, box and column that each end meets are read
+off the end itself; caps, straight stretches and zero boxes are passed
+over.  A strand passes a box's crossings downward in increasing order
+or upward in decreasing order, leaving each by the port diagonal to
+the one it entered by.  Arcs are labeled 1, 2, 3, ... consecutively
 along each link component, components taken in canonical order, each
 starting on the arc through its smallest segment and headed to that
 arc's end of lower (crossing, port) rank, so the output is
@@ -42,7 +44,7 @@ import dataclasses
 
 from .diagram import PlatDiagram, Twist, box_strands
 from .errors import MalformedPDCodeError, ParameterError, UnsupportedBoxError
-from .topology import component_cycles, swap_permutation
+from .topology import _cycles, swap_permutation
 
 MAX_PD_CROSSINGS = 10**6
 
@@ -83,11 +85,13 @@ def to_braid_word(d: PlatDiagram) -> BraidWord:
 # ---------------------------------------------------------------------------
 # PD codes
 
-# a port is its rank counterclockwise in page coordinates; a strand leaves
-# a crossing by the port diagonally opposite the one it entered by
+# a port is its rank counterclockwise in page coordinates.  A strand leaves
+# a crossing by the port diagonally opposite the one it entered by, the
+# port's rank ^ _DIAGONAL, and enters the next crossing of its box by the
+# port of the other column, rank ^ _COLUMN.  The under-strand runs NW-SE in
+# a positive twist and NE-SW in a negative one: the even ranks or the odd.
 _NW, _SW, _SE, _NE = range(4)
-_DIAGONAL = (_SE, _NE, _NW, _SW)
-_UNDER = {1: (_NW, _SE), -1: (_NE, _SW)}  # the under-strand's ports, by sign
+_DIAGONAL, _COLUMN = 2, 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,7 +105,7 @@ class PDCode:
         return len(self.crossings)
 
     def text(self) -> str:
-        inner = ", ".join("X({}, {}, {}, {})".format(*c) for c in self.crossings)
+        inner = ", ".join("X(%d, %d, %d, %d)" % c for c in self.crossings)
         return f"PD[{inner}]"
 
 
@@ -126,12 +130,30 @@ def pd_trace_components(code: PDCode) -> int:
 
 
 def pd_validate(code: PDCode) -> None:
-    """Raise if any arc label fails to appear exactly twice."""
+    """Raise if any arc label fails to appear exactly twice.
+
+    The labels are counted in a bytearray; the counts for the message are
+    gathered only when the code is found malformed.
+    """
+    labels = 2 * len(code.crossings)
+    counts = bytearray(labels + 1)  # by label
+    try:
+        for a, b, c, d in code.crossings:
+            counts[a] += 1
+            counts[b] += 1
+            counts[c] += 1
+            counts[d] += 1
+    except (IndexError, TypeError, ValueError):
+        pass  # past 2C, not four ints, or seen 256 times
+    else:
+        # a label below 1 counts for 0 or, from the top, for another label
+        if counts.count(2) == labels and min(map(min, code.crossings), default=1) > 0:
+            return
     seen: dict[int, int] = {}
     for quad in code.crossings:
         for label in quad:
             seen[label] = seen.get(label, 0) + 1
-    expected = set(range(1, 2 * len(code.crossings) + 1))
+    expected = set(range(1, labels + 1))
     bad = {k: v for k, v in seen.items() if v != 2}
     if bad or set(seen) != expected:
         raise MalformedPDCodeError(f"malformed PD code: label counts {sorted(seen.items())}")
@@ -144,7 +166,23 @@ def to_pd_code(d: PlatDiagram) -> PDCode:
             raise UnsupportedBoxError(
                 f"box ({i}, {j}) is rational; expand it before exporting a PD code"
             )
-    crossings = d.twist_crossing_count
+    # per row, each box's twist and its first crossing id in sweep order;
+    # odd rows gain a zero box at either end for their uncovered outer
+    # strands, and a zero row above and below stands for the caps
+    caps = [0] * (d.n + 1)
+    twists, first = [caps], [caps]
+    crossings = 0
+    for i, row in enumerate(d.rows, 1):
+        a_row = [box.a for box in row]
+        if i % 2 == 1:
+            a_row = [0, *a_row, 0]
+        starts = []
+        for a in a_row:
+            starts.append(crossings)
+            crossings += abs(a)
+        twists.append(a_row)
+        first.append(starts)
+    twists.append(caps)
     if crossings == 0:
         raise UnsupportedBoxError("diagram has no crossings; PD code is undefined")
     if crossings > MAX_PD_CROSSINGS:
@@ -152,52 +190,57 @@ def to_pd_code(d: PlatDiagram) -> PDCode:
             f"diagram has {crossings} crossings; PD codes are limited to {MAX_PD_CROSSINGS}"
         )
 
-    # crossing ids in sweep order, each box's |a| crossings stacked downward
-    first: dict[tuple[int, int], int] = {}
-    signs: list[int] = []
-    for i, j, box in d.boxes():
-        if box.a != 0:
-            first[(i, j)] = len(signs)
-            signs += [1 if box.a > 0 else -1] * abs(box.a)
-
-    labels = [[0] * 4 for _ in signs]  # arc label at each port
-    under_in = [0] * len(signs)  # the port the under-strand enters by
+    negative = bytearray()  # by crossing id
+    for a_row in twists:
+        for a in a_row:
+            negative += bytes(a) if a > 0 else b"\1" * -a
+    labels = [0] * (4 * crossings)  # arc label at port slot 4 * crossing + port
+    under_in = bytearray(crossings)  # the port the under-strand enters by
+    w = 2 * d.n
     next_label = 1
-    for cycle in component_cycles(d):
-        walk = []  # (crossing, port in, port out) in the cycle's direction
-        for k in range(0, len(cycle), 2):
-            conn = cycle[k + 1]
-            if conn[0] != "box" or conn[1:] not in first:
-                continue
-            _, g, x = cycle[k]
-            _, i, j = conn
-            c0, count = first[(i, j)], abs(d.box(i, j).a)
-            if g == i - 1:  # entering the box from above
-                ports, ids = (_NW, _NE), range(c0, c0 + count)
+    for ends in _cycles(d):
+        walk = []  # the slot each crossing is entered by, in the cycle's direction
+        for e in ends:
+            g, x = divmod(e >> 1, w)  # x counts strands from 0 here
+            i = g + (e & 1)  # the row that end e meets
+            j = (x + (i & 1)) >> 1
+            a = twists[i][j]
+            if a == 0:
+                continue  # a cap, a straight stretch or a zero box
+            column = (x + i) & 1  # 0 on the box's left strand, 1 on its right
+            top, bottom = 4 * first[i][j], 4 * (first[i][j] + abs(a) - 1)
+            if e & 1:  # entering the box from above
+                port, bases = (_NW, _NE)[column], range(top, bottom + 1, 4)
             else:
-                ports, ids = (_SW, _SE), range(c0 + count - 1, c0 - 1, -1)
-            column = 0 if x == box_strands(i, j)[0] else 1
-            for c in ids:
-                walk.append((c, ports[column], _DIAGONAL[ports[column]]))
-                column = 1 - column
+                port, bases = (_SW, _SE)[column], range(bottom, top - 1, -4)
+            for base in bases:
+                walk.append(base + port)
+                port ^= _COLUMN
         if not walk:
             continue  # a crossing-free component; see the module docstring
         # the walk starts on the arc from its last crossing to its first;
         # that arc is labelled first, headed to its lower-ranked end
-        if (walk[-1][0], walk[-1][2]) < (walk[0][0], walk[0][1]):
-            walk = [(c, p_out, p_in) for c, p_in, p_out in reversed(walk)]
-        for k, (c, p_in, p_out) in enumerate(walk):
-            labels[c][p_in] = next_label + k
-            labels[c][p_out] = next_label + (k + 1) % len(walk)
-            if p_in in _UNDER[signs[c]]:
-                under_in[c] = p_in
+        if walk[-1] ^ _DIAGONAL < walk[0]:
+            walk = [s ^ _DIAGONAL for s in reversed(walk)]
+        for label, s in enumerate(walk, next_label):
+            labels[s] = label
+            labels[s ^ _DIAGONAL] = label + 1
+            c = s >> 2
+            if s & 1 == negative[c]:  # the under-strand; see _NW
+                under_in[c] = s & 3
+        labels[walk[-1] ^ _DIAGONAL] = next_label
         next_label += len(walk)
 
-    code = PDCode(
-        tuple(
-            tuple(arcs[(start + off) % 4] for off in range(4))
-            for arcs, start in zip(labels, under_in)
+    quads = []  # each crossing's labels from its under-strand's entry on
+    for base, u in zip(range(0, len(labels), 4), under_in):
+        quads.append(
+            (
+                labels[base + u],
+                labels[base + (u + 1) % 4],
+                labels[base + (u + 2) % 4],
+                labels[base + (u + 3) % 4],
+            )
         )
-    )
+    code = PDCode(tuple(quads))
     pd_validate(code)
     return code

@@ -31,7 +31,7 @@ oracle and the equivalence is exercised exhaustively in the test suite.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .diagram import PlatDiagram, row_length
 from .errors import ParameterError, PathError, TwoBridgeError
@@ -145,35 +145,46 @@ def crossing_count(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> int:
     return 1 + sum(abs(ps[i + 1] - ps[i]) for i in range(len(ps) - 1)) + 1
 
 
+def iter_allowable(d: PlatDiagram) -> Iterator[AllowablePath]:
+    """Each allowable path in turn, in lexicographic order of its entries.
+
+    Empty for n <= 2: a 2-bridge plat has no room for a separating
+    corridor (every odd row is a single span of width zero).  Each path
+    is the one before it with the last entry that can still step right
+    stepped, and every row below restarted at its smallest entry.  Every
+    entry has a legal successor in the next row, so this never meets a
+    dead end, and it keeps one entry list whatever the number of rows.
+    """
+    if d.n <= 2:
+        return
+    m, top = d.m, d.n - 2  # top: the largest entry of an odd row
+    entries = [1] * m  # the leftmost path
+    while True:
+        yield AllowablePath(tuple(entries))
+        # the step rule lets an odd row's entry a be followed by a or a + 1,
+        # an even row's by a - 1 or a, within 1..top in odd rows
+        k = m - 1
+        while k > 0:
+            prev = entries[k - 1]
+            if entries[k] < (prev + 1 if k & 1 else prev if prev < top else top):
+                break
+            k -= 1
+        else:
+            if entries[0] == top:
+                return
+        entries[k] += 1
+        for k in range(k + 1, m):
+            prev = entries[k - 1]
+            entries[k] = prev if k & 1 or prev == 1 else prev - 1
+
+
 def enumerate_allowable(d: PlatDiagram) -> tuple[AllowablePath, ...]:
     """All allowable paths in lexicographic order of their entry vectors.
 
-    Empty for n <= 2: a 2-bridge plat has no room for a separating
-    corridor (every odd row is a single span of width zero).
+    Empty for n <= 2.  The number of paths grows exponentially in m (see
+    ``count_allowable``); ``iter_allowable`` yields them one at a time.
     """
-    if d.n <= 2:
-        return ()
-    out: list[AllowablePath] = []
-    entries = [0] * d.m
-
-    def extend(i: int) -> None:
-        if i > d.m:
-            out.append(AllowablePath(tuple(entries)))
-            return
-        hi = row_length(d.n, i) - 1
-        if i == 1:
-            candidates = range(1, hi + 1)
-        elif i % 2 == 0:  # descending from an odd row
-            candidates = (entries[i - 2], entries[i - 2] + 1)
-        else:
-            candidates = (entries[i - 2] - 1, entries[i - 2])
-        for a in candidates:
-            if 1 <= a <= hi:
-                entries[i - 1] = a
-                extend(i + 1)
-
-    extend(1)
-    return tuple(out)
+    return tuple(iter_allowable(d))
 
 
 def count_allowable(n: int, m: int) -> int:

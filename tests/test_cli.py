@@ -265,6 +265,32 @@ def test_closed_stdout_ends_by_sigpipe(tmp_path):
     assert err == b""
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_paths_stream_on_many_rows(tmp_path):
+    # 2**600 paths: the first line is printed before any list could be built
+    src = tmp_path / "d.json"
+    src.write_text(diagram_to_json(random_diagram(3, 1201, seed=1)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "platsurf.cli", "paths", str(src)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert first == b"1," * 1200 + b"1\n"
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -139,6 +139,22 @@ def test_pd_validate_rejects_bad_codes():
     with pytest.raises(ValueError, match="malformed"):
         pd_validate(PDCode(((1, 1, 1, 2), (2, 3, 3, 4))))
     pd_validate(PDCode(((1, 1, 2, 2),)))
+    bad = {
+        "label 0": ((0, 2, 1, 1), (3, 4, 3, 4)),
+        "label 0 twice": ((0, 0, 1, 1),),  # every other count right but one
+        "negative label": ((1, 1, 2, -1),),  # -1 would count for label 2
+        "far negative label": ((1, 1, 2, -10**6),),
+        "label above 2C": ((1, 1, 2, 3),),
+        "label seen three times": ((1, 2, 1, 2), (1, 3, 4, 4)),
+        "label missing": ((1, 1, 2, 2), (3, 3, 2, 1)),
+        "label seen 256 times": ((1, 1, 1, 1),) * 64,
+    }
+    for what, quads in bad.items():
+        with pytest.raises(MalformedPDCodeError, match="^malformed PD code: label counts"):
+            pd_validate(PDCode(quads))
+    with pytest.raises(MalformedPDCodeError) as exc:
+        pd_validate(PDCode(bad["negative label"]))
+    assert str(exc.value) == "malformed PD code: label counts [(-1, 1), (1, 2), (2, 1)]"
 
 
 def test_pd_validate_raises_a_package_error():
@@ -183,6 +199,17 @@ def test_pd_code_matches_sweep_oracle():
         elif pd_trace_components(to_pd_code(d)) < build_topology(d).component_count:
             dropped += 1
     assert refused > 50 and dropped > 50, (refused, dropped)
+
+
+def test_pd_code_matches_sweep_oracle_at_ladder_sizes():
+    # byte for byte at the sizes the export benchmark runs, zero boxes and
+    # negative twists included
+    rng = random.Random(83)
+    for n, m in ((15, 15), (30, 31), (50, 51)):
+        d = random_all_twist(rng, n, m)
+        assert any(b.a == 0 for _, _, b in d.boxes())
+        assert any(b.a < 0 for _, _, b in d.boxes())
+        assert to_pd_code(d).text() == sweep_pd_code(d).text()
 
 
 def test_pd_labels_run_consecutively_from_one():

@@ -15,6 +15,7 @@ from platsurf import (
     crossing_count,
     enumerate_allowable,
     extremal_paths,
+    iter_allowable,
     make_diagram,
     random_diagram,
 )
@@ -48,6 +49,23 @@ def test_enumeration_is_lexicographic():
     for n, m in ((3, 5), (4, 5), (5, 3)):
         entries = [p.entries for p in enumerate_allowable(_shape(n, m))]
         assert entries == sorted(entries)
+
+
+def test_iter_allowable_matches_enumeration_and_count():
+    for n in range(1, 7):
+        for m in (1, 3, 5, 7, 9):
+            d = _shape(n, m)
+            paths = list(iter_allowable(d))
+            assert tuple(paths) == enumerate_allowable(d)
+            assert len(paths) == (count_allowable(n, m) if n > 2 else 0)
+
+
+def test_iter_allowable_starts_without_recursion_on_many_rows():
+    # 2**600 paths over 1201 rows; recursing once per row would overflow
+    d = random_diagram(3, 1201, seed=1)
+    paths = iter_allowable(d)
+    assert next(paths) == extremal_paths(d)[0]
+    assert next(paths).entries == (1,) * 1199 + (2, 1)
 
 
 def test_figure_example_path():

@@ -1,0 +1,81 @@
+"""Properties over small shapes drawn by Hypothesis (n <= 6, m <= 9).
+
+They add to the seeded corpora of the other modules and replace none of
+them.  Runs are derandomized and keep no example database, so every run
+checks the same examples.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from platsurf import (  # noqa: E402
+    UnsupportedBoxError,
+    build_topology,
+    check_hypotheses,
+    count_allowable,
+    enumerate_allowable,
+    make_diagram,
+    pd_trace_components,
+    to_pd_code,
+)
+from helpers import row_len, sweep_pd_code  # noqa: E402
+
+SMALL = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def twist_diagrams(draw, strict=False):
+    """All-twist diagrams; strict ones satisfy the strict hypotheses."""
+    n = draw(st.integers(3 if strict else 1, 6))
+    m = draw(st.sampled_from((1, 3, 5, 7, 9)))
+    nonzero = st.integers(1, 4).flatmap(lambda a: st.sampled_from((a, -a)))
+    rows = []
+    for i in range(1, m + 1):
+        length = row_len(n, i)
+        if not strict:
+            rows.append(draw(st.lists(st.integers(-4, 4), min_size=length, max_size=length)))
+            continue
+        row = draw(st.lists(nonzero, min_size=length, max_size=length))
+        for j in {0, length - 1}:
+            if i % 2 == 1:  # odd-row ends twist at least three times
+                row[j] = draw(st.sampled_from((3, 4, -3, -4)))
+            else:
+                row[j] = draw(st.integers(-4, 4))
+        rows.append(row)
+    return make_diagram(n, m, rows)
+
+
+def _pd_text_or_refusal(export, d):
+    try:
+        return export(d).text()
+    except UnsupportedBoxError as exc:
+        return type(exc), str(exc)
+
+
+@SMALL
+@given(twist_diagrams())
+def test_pd_code_equals_the_sweep(d):
+    assert _pd_text_or_refusal(to_pd_code, d) == _pd_text_or_refusal(sweep_pd_code, d)
+
+
+@SMALL
+@given(twist_diagrams())
+def test_pd_crossings_are_the_twist_crossings(d):
+    if d.twist_crossing_count > 0:
+        assert to_pd_code(d).crossing_count == d.twist_crossing_count
+
+
+@SMALL
+@given(twist_diagrams(strict=True))
+def test_pd_components_are_the_topology_components(d):
+    assert check_hypotheses(d).passed
+    assert pd_trace_components(to_pd_code(d)) == build_topology(d).component_count
+
+
+@SMALL
+@given(twist_diagrams())
+def test_enumerated_paths_are_counted(d):
+    assert len(enumerate_allowable(d)) == count_allowable(d.n, d.m)
