@@ -27,10 +27,12 @@ twist box.  The hypotheses constrain denominators only; signs are free.
 Everything the hypotheses and the link walk need of a box fits in one
 byte, ``3 * min(q, 3) + code``, where ``code`` is 0, 1 or 2 for the
 through-identity, through-swap and caps pairing (``Pairing`` order).
-``PlatDiagram.slope_table`` holds these bytes, one ``bytes`` per row,
-computed once per diagram.  A diagram also computes its digest and
-all-twist flag once and keeps them, and ``topology.build_topology``
-keeps the labels of its link components on it.
+``PlatDiagram.slope_table`` holds these bytes, one ``bytes`` per row.
+The parse, ``make_diagram``, reads each box once and fills
+``slope_table`` and ``is_all_twist`` as it goes; a diagram built
+directly computes both on first use.  A diagram keeps its digest, and
+``topology.build_topology`` keeps the labels of its link components on
+it.  A diagram has at most ``MAX_BOXES`` boxes.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ STRICT = "strict"
 RELAXED = "relaxed"
 # per hypothesis mode, the least denominator condition (iii) asks of an odd-row end box
 END_BOUND = {STRICT: 3, RELAXED: 2}
+MAX_BOXES = 10**6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,6 +90,7 @@ class Rational:
 
 
 TangleBox = Union[Twist, Rational]
+_BOX_TYPES = frozenset((Twist, Rational))
 
 
 def box_fraction(box: TangleBox) -> TangleFraction:
@@ -121,6 +125,12 @@ def _slope_code(box: TangleBox) -> int:
 def row_length(n: int, i: int) -> int:
     """Number of boxes in row i: n-1 for odd rows, n for even rows."""
     return n - 1 if i % 2 == 1 else n
+
+
+def _check_box_count(n: int, m: int, error: type[Exception]) -> None:
+    count = (m + 1) // 2 * (n - 1) + m // 2 * n
+    if count > MAX_BOXES:
+        raise error(f"n = {n}, m = {m} give {count} boxes; diagrams are limited to {MAX_BOXES}")
 
 
 def box_strands(i: int, j: int) -> tuple[int, int]:
@@ -158,9 +168,9 @@ class PlatDiagram:
                 raise MalformedDiagramError(
                     f"row {i} has {len(row)} boxes, expected {want}"
                 )
-            for box in row:
-                if not isinstance(box, (Twist, Rational)):
-                    raise MalformedDiagramError(f"row {i}: bad box {box!r}")
+            if not _BOX_TYPES.issuperset(map(type, row)):
+                bad = next(b for b in row if type(b) not in _BOX_TYPES)
+                raise MalformedDiagramError(f"row {i}: bad box {bad!r}")
 
     @property
     def strand_count(self) -> int:
@@ -207,23 +217,38 @@ class PlatDiagram:
 
 
 def make_diagram(n: int, m: int, rows: Sequence[Sequence[Any]]) -> PlatDiagram:
-    """Build a diagram, coercing ints to Twist and (p, q) pairs to Rational."""
-    built = []
+    """Build a diagram, coercing ints to shared Twists and (p, q) pairs to
+    Rational, in one pass per box that also fills the slope table."""
+    if isinstance(n, int) and isinstance(m, int):
+        _check_box_count(n, m, MalformedDiagramError)
+    twists: dict[int, tuple[Twist, int]] = {}  # a -> (Twist(a), its slope code)
+    built, table = [], []
+    all_twist = True
     for row in rows:
-        out = []
+        boxes, codes = [], bytearray()
         for box in row:
-            if isinstance(box, (Twist, Rational)):
-                out.append(box)
-            elif isinstance(box, bool):
-                raise MalformedDiagramError(f"bad box value {box!r}")
-            elif isinstance(box, int):
-                out.append(Twist(box))
-            elif isinstance(box, (list, tuple)) and len(box) == 2:
-                out.append(Rational(box[0], box[1]))
+            if type(box) is int:  # True and 1.0 equal 1 as keys, so test the type first
+                entry = twists.get(box)
+                if entry is None:
+                    twist = Twist(box)
+                    entry = twists[box] = twist, _slope_code(twist)
+                box, code = entry
             else:
-                raise MalformedDiagramError(f"bad box value {box!r}")
-        built.append(tuple(out))
-    return PlatDiagram(n, m, tuple(built))
+                if isinstance(box, int) and not isinstance(box, bool):
+                    box = Twist(box)
+                elif isinstance(box, (list, tuple)) and len(box) == 2:
+                    box = Rational(box[0], box[1])
+                elif not isinstance(box, (Twist, Rational)):
+                    raise MalformedDiagramError(f"bad box value {box!r}")
+                code = _slope_code(box)
+                all_twist = all_twist and not isinstance(box, Rational)
+            boxes.append(box)
+            codes.append(code)
+        built.append(tuple(boxes))
+        table.append(bytes(codes))
+    d = PlatDiagram(n, m, tuple(built))
+    d.__dict__.update(slope_table=tuple(table), is_all_twist=all_twist)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +319,10 @@ def check_hypotheses(d: PlatDiagram, mode: str = STRICT) -> HypothesisReport:
     interior_zero = []
     small_ends = []
     for i, (row, codes) in enumerate(zip(d.rows, d.slope_table), 1):
+        # skip a row with no level-0 code inside and no end code below the floor
+        floor = 3 * end_bound if i % 2 == 1 else 0  # odd-row ends need level end_bound
+        if min(codes[1:-1], default=3) >= 3 and min(codes[:1] + codes[-1:], default=floor) >= floor:
+            continue
         ends = _ends(len(codes))
         for j, code in enumerate(codes, 1):
             level = code // 3  # min(denominator, 3)
@@ -340,6 +369,7 @@ def random_diagram(
         raise ParameterError("random_diagram needs odd m >= 1")
     if max_twist < 3:
         raise ParameterError("max_twist must be at least 3")
+    _check_box_count(n, m, ParameterError)
     rng = random.Random(seed)
 
     def sign() -> int:

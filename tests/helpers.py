@@ -6,7 +6,9 @@ generic segment intersection instead of the closed-form crossing count,
 a permutation pairing graph and union-find on segments instead of the
 walk over segment ends, a run-counting walk along each component
 instead of side thresholds, and a top-to-bottom sweep of arc labels
-instead of the component walk for PD codes.
+instead of the component walk for PD codes, and a loop over every box
+reading its denominator instead of the row scan of the slope table for
+the hypotheses.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import random
 
 from platsurf import PDCode, PlatDiagram, Twist, UnsupportedBoxError, make_diagram
-from platsurf.diagram import box_strands
+from platsurf.diagram import box_denominator, box_strands
 from platsurf.export import pd_validate
 from platsurf.topology import build_topology, component_cycles
 
@@ -46,6 +48,35 @@ def brute_force_paths(n: int, m: int) -> list[tuple[int, ...]]:
     """Filter the full product space by the step rule."""
     ranges = [range(1, row_len(n, i)) for i in range(1, m + 1)]
     return [e for e in itertools.product(*ranges) if step_rule_ok(n, e)]
+
+
+def per_box_hypotheses(d: PlatDiagram, mode: str) -> dict:
+    """``check_hypotheses(d, mode).to_dict()``, judged box by box."""
+    end_bound = {"strict": 3, "relaxed": 2}[mode]
+    interior_zero, small_ends = [], []
+    for i, row in enumerate(d.rows, 1):
+        ends = {1, len(row)}
+        for j, box in enumerate(row, 1):
+            q = box_denominator(box)
+            value = box.a if isinstance(box, Twist) else [box.p, box.q]
+            if j not in ends and q == 0:
+                interior_zero.append([i, j, value])
+            if i % 2 == 1 and j in ends and q < end_bound:
+                small_ends.append([i, j, value])
+    conditions = {
+        "n_at_least_3": d.n >= 3,
+        "interior_nonzero": not interior_zero,
+        "odd_row_ends_ok": not small_ends,
+    }
+    return {
+        "mode": mode,
+        "n": d.n,
+        "m": d.m,
+        "two_bridge": d.n <= 2,
+        "conditions": conditions,
+        "witnesses": {"interior_zero": interior_zero, "small_ends": small_ends},
+        "passed": all(conditions.values()),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,11 @@ def test_hostile_inputs_exit_2(write_diagram, tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_random_refuses_shapes_past_the_box_limit(capsys):
+    assert main(["random", "--n", "1000000", "--m", "1000001"]) == 2
+    assert "limited to" in capsys.readouterr().err
+
+
 def test_paths_list_and_count(write_diagram, capsys):
     d = write_diagram(ALL_THREES, 3, 3)
     assert main(["paths", d]) == 0

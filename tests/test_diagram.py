@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -25,8 +26,10 @@ from platsurf import (
     pairing_by_tracing,
     random_diagram,
 )
-from platsurf.diagram import RELAXED, from_json_dict, row_length, to_json_dict
+from platsurf.diagram import MAX_BOXES, RELAXED, STRICT, from_json_dict, row_length, to_json_dict
 from platsurf.surgery import parity_criterion
+
+from helpers import per_box_hypotheses, random_all_twist, random_mixed
 
 
 def test_shape_rules():
@@ -251,3 +254,87 @@ def test_hash_is_kept_and_equality_compares_fields():
     mirror = d.reflected()
     assert mirror != d and diagram_digest(mirror) != diagram_digest(d)
     assert not mirror.is_all_twist and mirror.reflected() == d
+
+
+def test_parse_shares_one_twist_per_value():
+    d = diagram_from_json(diagram_to_json(make_diagram(3, 3, [[3, 4], [3, -3, 3], [4, 3]])))
+    assert d.box(1, 1) is d.box(2, 1) is d.box(2, 3) is d.box(3, 2)
+    assert d.box(1, 2) is d.box(3, 1)
+    assert d.box(2, 2) == Twist(-3) and d.box(2, 2) is not d.box(1, 1)
+
+
+def _seeded_shapes(count):
+    rng = random.Random(61)
+    for _ in range(count):
+        yield rng, rng.randint(1, 6), rng.choice((1, 3, 5, 7, 9))
+
+
+def test_parse_fills_what_direct_construction_computes():
+    for k, (rng, n, m) in enumerate(_seeded_shapes(300)):
+        d = (random_mixed if k % 2 else random_all_twist)(rng, n, m)
+        parsed = diagram_from_json(diagram_to_json(d))
+        direct = PlatDiagram(d.n, d.m, d.rows)
+        assert {"slope_table", "is_all_twist"} <= parsed.__dict__.keys()
+        assert parsed.slope_table == direct.slope_table
+        assert parsed.is_all_twist is direct.is_all_twist
+        assert parsed.digest == direct.digest
+
+
+def test_parse_rejects_what_it_did_before():
+    for bad in (True, 1.0, [1, 2, 3]):
+        with pytest.raises(MalformedDiagramError, match=re.escape(f"bad box value {bad!r}")):
+            make_diagram(3, 1, [[3, bad]])
+
+    class Count(int):
+        pass
+
+    d = make_diagram(3, 1, [[Count(3), (1, 3)]])
+    assert d.rows == ((Twist(3), Rational(1, 3)),) and not d.is_all_twist
+
+
+def test_direct_construction_names_the_bad_box():
+    with pytest.raises(MalformedDiagramError, match="row 1: bad box 'bad'"):
+        PlatDiagram(3, 1, ((Twist(3), "bad"),))
+    with pytest.raises(MalformedDiagramError, match="row 2: bad box 3"):
+        PlatDiagram(3, 3, ((Twist(3),) * 2, (Twist(3), 3, Twist(3)), (Twist(3),) * 2))
+
+
+_SPOILERS = (0, 1, -1, 2, -2, (1, 0), (0, 1), (1, 2), (-3, 2), (2, 5))
+
+
+def _spoil(rng, rows, where):
+    """Put a spoiler box inside a random row, or at an end of an odd or an even row."""
+    m = len(rows)
+    if where == "interior":
+        i = rng.randint(1, m)
+    else:
+        i = rng.randrange(1 if where == "odd end" or m == 1 else 2, m + 1, 2)
+    row = rows[i - 1]
+    if len(row) > 2 and where == "interior":
+        row[rng.randrange(1, len(row) - 1)] = rng.choice(_SPOILERS)
+    elif row:
+        row[rng.choice((0, len(row) - 1))] = rng.choice(_SPOILERS)
+
+
+def test_hypotheses_match_the_per_box_check():
+    places = ("interior", "odd end", "even end", None)
+    for k, (rng, n, m) in enumerate(_seeded_shapes(400)):
+        rows = [[rng.choice((3, -4, 5)) for _ in range(row_length(n, i))] for i in range(1, m + 1)]
+        for _ in range(rng.randint(1, 3) if places[k % 4] else 0):
+            _spoil(rng, rows, places[k % 4])
+        parsed = make_diagram(n, m, rows)
+        for d in (parsed, PlatDiagram(n, m, parsed.rows)):
+            for mode in (STRICT, RELAXED):
+                assert check_hypotheses(d, mode).to_dict() == per_box_hypotheses(d, mode), (rows, mode)
+
+
+def test_box_count_is_limited_before_any_row_is_built():
+    # (MAX_BOXES + 1, 1) holds exactly MAX_BOXES boxes, one more box is over
+    with pytest.raises(MalformedDiagramError, match="expected 1 rows"):
+        make_diagram(MAX_BOXES + 1, 1, [])
+    with pytest.raises(MalformedDiagramError, match="limited to"):
+        make_diagram(MAX_BOXES + 2, 1, [])
+    with pytest.raises(MalformedDiagramError, match="limited to"):
+        from_json_dict({"n": 10**6, "m": 10**6 + 1, "rows": []})
+    with pytest.raises(ParameterError, match="limited to"):
+        random_diagram(1000, 2001)

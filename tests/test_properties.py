@@ -12,10 +12,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from platsurf import (  # noqa: E402
+    PlatDiagram,
     UnsupportedBoxError,
     build_topology,
     check_hypotheses,
     count_allowable,
+    diagram_from_json,
+    diagram_to_json,
     enumerate_allowable,
     make_diagram,
     pd_trace_components,
@@ -79,3 +82,19 @@ def test_pd_components_are_the_topology_components(d):
 @given(twist_diagrams())
 def test_enumerated_paths_are_counted(d):
     assert len(enumerate_allowable(d)) == count_allowable(d.n, d.m)
+
+
+@SMALL
+@given(twist_diagrams())
+def test_json_round_trip(d):
+    back = diagram_from_json(diagram_to_json(d))
+    assert back == d and back.digest == d.digest
+    assert back.slope_table == d.slope_table == PlatDiagram(d.n, d.m, d.rows).slope_table
+
+
+@SMALL
+@given(twist_diagrams())
+def test_reflection_keeps_components_and_paths(d):
+    r = d.reflected()
+    assert build_topology(r).component_count == build_topology(d).component_count
+    assert len(enumerate_allowable(r)) == count_allowable(r.n, r.m) == count_allowable(d.n, d.m)
