@@ -8,7 +8,7 @@ certain surfaces are essential, that an exterior is irreducible) are
 no incompressibility computation of any kind happens in this package,
 and the certificate says so in its footnotes.
 
-Three modes:
+Three modes for ``certify``:
 
 * ``theorem1``: the strict hypotheses with m >= 3.  Certifies that the
   exterior is irreducible and that the planar surface and both closed
@@ -19,6 +19,10 @@ Three modes:
 * ``composite_remark3``: the single-row case m = 1 under the strict
   bounds.  The link is composite and nonsplit, and the two closed
   surfaces are essential swallow-follow tori.
+
+The fourth mode, ``corollary2``, is ``surgery.certify_haken``'s; its
+record subclasses ``Certificate``, and the one document builder,
+conclusions table and footnote builder here serve all four modes.
 
 Any diagram with n <= 2 is refused in every mode: such links are
 2-bridge and their exteriors contain no closed essential surface, so
@@ -53,7 +57,8 @@ from .surfaces import (
 MODE_THEOREM1 = "theorem1"
 MODE_RELAXED = "relaxed_remark1"
 MODE_COMPOSITE = "composite_remark3"
-MODES = (MODE_THEOREM1, MODE_RELAXED, MODE_COMPOSITE)
+MODES = (MODE_THEOREM1, MODE_RELAXED, MODE_COMPOSITE)  # those of ``certify``
+MODE_SURGERY = "corollary2"
 
 CITE_THEOREM1 = "Theorem 1"
 CITE_COROLLARY2 = "Corollary 2"
@@ -91,6 +96,16 @@ _CONCLUSIONS = {
             "both closed surfaces along the certified path are essential "
             "swallow-follow tori",
             CITE_REMARK3,
+        ),
+    ),
+    MODE_SURGERY: (
+        (
+            "the manifold obtained by the given totally nontrivial surgery is Haken",
+            CITE_COROLLARY2,
+        ),
+        (
+            "both closed tubed surfaces remain incompressible in the surgered manifold",
+            CITE_COROLLARY2,
         ),
     ),
 }
@@ -146,15 +161,37 @@ class Certificate:
             "certified": self.certified,
             "hypotheses": self.hypotheses.to_dict(),
             "path": list(self.path.entries) if self.path is not None else None,
+            **self._surgery_records(),
             "surfaces": [s.to_dict() for s in self.surfaces],
             "conclusions": [c.to_dict() for c in self.conclusions],
             "refusals": list(self.refusals),
             "footnotes": list(self.footnotes),
         }
 
+    def _surgery_records(self) -> dict:
+        """Records written between ``path`` and ``surfaces``; none here."""
+        return {}
+
 
 def certificate_json(cert: Certificate) -> str:
     return json.dumps(cert.to_dict(), indent=2) + "\n"
+
+
+def conclusions(mode: str, certified: bool, m: int) -> tuple[Conclusion, ...]:
+    """What a certificate of ``mode`` concludes: nothing unless certified."""
+    genus = (m + 1) // 2
+    return tuple(
+        Conclusion(statement.format(genus=genus), cite)
+        for statement, cite in (_CONCLUSIONS[mode] if certified else ())
+    )
+
+
+def footnotes(d: PlatDiagram, *extra: str) -> tuple[str, ...]:
+    """The indexing and epistemic notes, the rational note, then ``extra``."""
+    notes = (FOOTNOTE_INDEXING, FOOTNOTE_EPISTEMIC)
+    if not d.is_all_twist:
+        notes += (FOOTNOTE_RATIONAL,)
+    return notes + extra
 
 
 def _euler_footnote(dec: SphereDecomposition) -> str:
@@ -221,7 +258,7 @@ def certify(
 
     chosen: AllowablePath | None = None
     surfaces: tuple[SurfaceReport, ...] = ()
-    dec: SphereDecomposition | None = None
+    notes: tuple[str, ...] = ()
     if path is not None:
         chosen = AllowablePath.for_diagram(d, path)
     elif d.n >= 3:
@@ -229,28 +266,16 @@ def certify(
     if chosen is not None:
         dec = decompose(d, chosen)
         surfaces = surface_invariants(dec)
-
-    certified = not refusals
-    genus = (d.m + 1) // 2
-    conclusions = tuple(
-        Conclusion(statement.format(genus=genus), cite)
-        for statement, cite in (_CONCLUSIONS[mode] if certified else ())
-    )
-
-    footnotes = [FOOTNOTE_INDEXING, FOOTNOTE_EPISTEMIC]
-    if not d.is_all_twist:
-        footnotes.append(FOOTNOTE_RATIONAL)
-    if dec is not None:
-        footnotes.append(_euler_footnote(dec))
+        notes = (_euler_footnote(dec),)
 
     return Certificate(
         mode=mode,
         digest=diagram_digest(d),
-        certified=certified,
+        certified=not refusals,
         hypotheses=hyp,
         path=chosen,
         surfaces=surfaces,
-        conclusions=conclusions,
+        conclusions=conclusions(mode, not refusals, d.m),
         refusals=tuple(refusals),
-        footnotes=tuple(footnotes),
+        footnotes=footnotes(d, *notes),
     )

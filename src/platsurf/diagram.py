@@ -375,32 +375,31 @@ def random_diagram(
     def sign() -> int:
         return rng.choice((-1, 1))
 
-    rows: list[list[Twist]] = []
+    rows: list[list[int]] = []
     for i in range(1, m + 1):
         length = row_length(n, i)
         row = []
         for j in range(1, length + 1):
             is_end = j in _ends(length)
             if i % 2 == 1 and is_end:
-                a = sign() * rng.randint(3, max_twist)
+                row.append(sign() * rng.randint(3, max_twist))
             elif is_end:
-                a = rng.randint(-max_twist, max_twist)
+                row.append(rng.randint(-max_twist, max_twist))
             else:
-                a = sign() * rng.randint(1, max_twist)
-            row.append(Twist(a))
+                row.append(sign() * rng.randint(1, max_twist))
         rows.append(row)
 
     if require_parity:
         odds = [v for v in range(3, max_twist + 1) if v % 2 == 1]
         odd_rows = list(range(1, m + 1, 2))
-        if not any(abs(rows[i - 1][0].a) % 2 == 1 for i in odd_rows):
+        if not any(rows[i - 1][0] % 2 for i in odd_rows):
             i = rng.choice(odd_rows)
-            rows[i - 1][0] = Twist(sign() * rng.choice(odds))
-        if not any(abs(rows[i - 1][-1].a) % 2 == 1 for i in odd_rows):
+            rows[i - 1][0] = sign() * rng.choice(odds)
+        if not any(rows[i - 1][-1] % 2 for i in odd_rows):
             i = rng.choice(odd_rows)
-            rows[i - 1][-1] = Twist(sign() * rng.choice(odds))
+            rows[i - 1][-1] = sign() * rng.choice(odds)
 
-    return PlatDiagram(n, m, tuple(tuple(r) for r in rows))
+    return make_diagram(n, m, rows)
 
 
 # ---------------------------------------------------------------------------

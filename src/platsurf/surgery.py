@@ -16,37 +16,31 @@ iff some odd row starts with an odd twist count and some odd row ends
 with one.  The parity value is recorded as an annotation and checked
 against the direct computation in the test suite; the direct check is
 the one that gates certification.
+
+A ``HakenCertificate`` is a ``certificates.Certificate`` with four
+surgery records more and never a path or surfaces; it shares that
+module's conclusions table, footnotes and JSON writer.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Sequence
 
 from .certificates import (
-    CITE_COROLLARY2,
-    FOOTNOTE_EPISTEMIC,
-    FOOTNOTE_INDEXING,
-    FOOTNOTE_RATIONAL,
-    Conclusion,
+    MODE_SURGERY,
+    Certificate,
+    certificate_json,
+    conclusions,
     diagram_digest,
+    footnotes,
     hypothesis_refusals,
 )
-from .diagram import (
-    STRICT,
-    HypothesisReport,
-    PlatDiagram,
-    Twist,
-    check_hypotheses,
-)
+from .diagram import STRICT, PlatDiagram, Twist, check_hypotheses
 from .errors import ParameterError, TwoBridgeError
 from .paths import extremal_paths
 from .tangles import TangleFraction
 from .topology import build_topology, sphere_partition
-
-MODE_SURGERY = "corollary2"
-
 
 # a surgery slope is a tangle fraction read as a slope on a component's
 # boundary torus; 1/0 is the meridian
@@ -155,41 +149,24 @@ def direct_coverage_check(d: PlatDiagram) -> CoverageCheck:
 
 
 @dataclasses.dataclass(frozen=True)
-class HakenCertificate:
+class HakenCertificate(Certificate):
     """Surgery certificate: hypotheses plus slope conditions, by citation."""
 
-    mode: str
-    digest: str
-    certified: bool
-    hypotheses: HypothesisReport
     slopes: tuple[Slope, ...]
     totally_nontrivial: NontrivialityCheck
     coverage: CoverageCheck | None
     parity: ParityCheck
-    conclusions: tuple[Conclusion, ...]
-    refusals: tuple[str, ...]
-    footnotes: tuple[str, ...]
 
-    def to_dict(self) -> dict:
+    def _surgery_records(self) -> dict:
         return {
-            "mode": self.mode,
-            "digest": self.digest,
-            "certified": self.certified,
-            "hypotheses": self.hypotheses.to_dict(),
-            "path": None,
             "slopes": [str(s) for s in self.slopes],
             "totally_nontrivial": self.totally_nontrivial.to_dict(),
             "coverage": self.coverage.to_dict() if self.coverage is not None else None,
             "parity_criterion": self.parity.to_dict(),
-            "surfaces": [],
-            "conclusions": [c.to_dict() for c in self.conclusions],
-            "refusals": list(self.refusals),
-            "footnotes": list(self.footnotes),
         }
 
 
-def haken_certificate_json(cert: HakenCertificate) -> str:
-    return json.dumps(cert.to_dict(), indent=2) + "\n"
+haken_certificate_json = certificate_json
 
 
 def certify_haken(d: PlatDiagram, slopes: Sequence[Slope]) -> HakenCertificate:
@@ -234,37 +211,18 @@ def certify_haken(d: PlatDiagram, slopes: Sequence[Slope]) -> HakenCertificate:
                 "surfaces would miss them"
             )
 
-    parity = parity_criterion(d)
-    certified = not refusals
-    conclusions: tuple[Conclusion, ...] = ()
-    if certified:
-        conclusions = (
-            Conclusion(
-                "the manifold obtained by the given totally nontrivial "
-                "surgery is Haken",
-                CITE_COROLLARY2,
-            ),
-            Conclusion(
-                "both closed tubed surfaces remain incompressible in the "
-                "surgered manifold",
-                CITE_COROLLARY2,
-            ),
-        )
-
-    footnotes = [FOOTNOTE_INDEXING, FOOTNOTE_EPISTEMIC]
-    if not d.is_all_twist:
-        footnotes.append(FOOTNOTE_RATIONAL)
-
     return HakenCertificate(
         mode=MODE_SURGERY,
         digest=diagram_digest(d),
-        certified=certified,
+        certified=not refusals,
         hypotheses=hyp,
+        path=None,
+        surfaces=(),
+        conclusions=conclusions(MODE_SURGERY, not refusals, d.m),
+        refusals=tuple(refusals),
+        footnotes=footnotes(d),
         slopes=slopes,
         totally_nontrivial=nontrivial,
         coverage=coverage,
-        parity=parity,
-        conclusions=conclusions,
-        refusals=tuple(refusals),
-        footnotes=tuple(footnotes),
+        parity=parity_criterion(d),
     )

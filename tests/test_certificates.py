@@ -20,6 +20,7 @@ from platsurf import (
     make_diagram,
     random_diagram,
 )
+from platsurf.surgery import MODE_SURGERY
 
 ALL_THREES = [[3, 3], [3, 3, 3], [3, 3]]
 
@@ -133,8 +134,10 @@ def test_explicit_path_validation():
     assert cert.certified and cert.path.entries == (1, 2, 1)
     with pytest.raises(PathError):
         certify(d, path=(1, 3, 1))
-    with pytest.raises(ParameterError):
-        certify(d, mode="remark2")
+    # the surgery mode has conclusions in the table but is not a mode of certify
+    for mode in ("remark2", MODE_SURGERY):
+        with pytest.raises(ParameterError):
+            certify(d, mode=mode)
 
 
 def test_citation_tags_stay_in_the_frozen_set():

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,8 @@ from platsurf.diagram import MAX_BOXES, RELAXED, STRICT, from_json_dict, row_len
 from platsurf.surgery import parity_criterion
 
 from helpers import per_box_hypotheses, random_all_twist, random_mixed
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_shape_rules():
@@ -146,6 +149,22 @@ def test_random_diagram_deterministic():
     b = random_diagram(4, 5, seed=42)
     assert a == b
     assert a != random_diagram(4, 5, seed=43)
+
+
+@pytest.mark.parametrize(
+    "case, n, m, seed, parity",
+    [
+        ("twist-random-3-5-s9-parity", 3, 5, 9, True),
+        ("twist-random-4-5-s3", 4, 5, 3, False),
+        ("twist-random-5-7-s2", 5, 7, 2, False),
+        ("twist-random-6-3-s4", 6, 3, 4, False),
+    ],
+)
+def test_random_diagram_matches_the_golden_draws(case, n, m, seed, parity):
+    recorded = json.loads((GOLDEN / case / "case.json").read_text())["diagram"]
+    d = random_diagram(n, m, seed=seed, require_parity=parity)
+    assert d == from_json_dict(recorded)
+    assert d.slope_table == PlatDiagram(d.n, d.m, d.rows).slope_table
 
 
 def test_random_diagram_parity_flag():

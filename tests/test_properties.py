@@ -24,7 +24,7 @@ from platsurf import (  # noqa: E402
     pd_trace_components,
     to_pd_code,
 )
-from helpers import row_len, sweep_pd_code  # noqa: E402
+from helpers import row_len, sweep_pd_code, union_find_components  # noqa: E402
 
 SMALL = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
@@ -48,6 +48,22 @@ def twist_diagrams(draw, strict=False):
             else:
                 row[j] = draw(st.integers(-4, 4))
         rows.append(row)
+    return make_diagram(n, m, rows)
+
+
+# reduced slopes of every pairing: p even caps the strands off, q even
+# passes them straight through, p and q both odd swaps them
+RATIONALS = ((0, 1), (2, 3), (-4, 5), (1, 0), (1, 2), (-3, 4), (1, 3), (-5, 3), (7, 9))
+
+
+@st.composite
+def mixed_diagrams(draw):
+    """Diagrams mixing twist boxes with rational boxes of all three pairings."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.sampled_from((1, 3, 5, 7, 9)))
+    box = st.one_of(st.integers(-4, 4), st.sampled_from(RATIONALS))
+    rows = [draw(st.lists(box, min_size=row_len(n, i), max_size=row_len(n, i)))
+            for i in range(1, m + 1)]
     return make_diagram(n, m, rows)
 
 
@@ -98,3 +114,9 @@ def test_reflection_keeps_components_and_paths(d):
     r = d.reflected()
     assert build_topology(r).component_count == build_topology(d).component_count
     assert len(enumerate_allowable(r)) == count_allowable(r.n, r.m) == count_allowable(d.n, d.m)
+
+
+@SMALL
+@given(st.one_of(twist_diagrams(), mixed_diagrams()))
+def test_walk_equals_the_union_find_oracle(d):
+    assert [sorted(c) for c in build_topology(d).components] == union_find_components(d)
