@@ -84,6 +84,23 @@ def _emit_bytes(data: bytes, out: str | None) -> None:
         sys.stdout.buffer.write(data)
 
 
+def _count_text(n: int, m: int) -> str:
+    """The exact allowable-path count, however many digits it has.
+
+    The interpreter refuses to convert ints past 4300 digits to text; the
+    limit is lifted for this one conversion only, so parsing keeps it.
+    """
+    count = count_allowable(n, m)
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        return str(count)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(count)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     d = _load(args.file)
     report = check_hypotheses(d, RELAXED if args.relaxed else STRICT)
@@ -94,7 +111,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_paths(args: argparse.Namespace) -> int:
     d = _load(args.file)
     if args.count:
-        print(count_allowable(d.n, d.m))
+        print(_count_text(d.n, d.m))
         return 0
     if d.n <= 2:
         print(
@@ -161,7 +178,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"m: {d.m} rows",
         f"components: {t.component_count}",
         f"twist crossings: {d.twist_crossing_count}",
-        f"allowable paths: {count_allowable(d.n, d.m)}",
+        f"allowable paths: {_count_text(d.n, d.m)}",
         f"tubed surface genus: {(d.m + 1) // 2}",
     ]
     print("\n".join(lines))

@@ -69,16 +69,17 @@ class BraidWord:
         )
 
 
+def _require_all_twist(d: PlatDiagram, reason: str) -> None:
+    """Raise naming the first rational box unless the parse found all twists."""
+    if not d.is_all_twist:
+        i, j, _ = next(b for b in d.boxes() if not isinstance(b[2], Twist))
+        raise UnsupportedBoxError(f"box ({i}, {j}) is rational; {reason}")
+
+
 def to_braid_word(d: PlatDiagram) -> BraidWord:
     """The braid word of an all-twist diagram; zero boxes drop out."""
-    syllables = []
-    for i, j, box in d.boxes():
-        if not isinstance(box, Twist):
-            raise UnsupportedBoxError(
-                f"box ({i}, {j}) is rational; only twist boxes have a braid form"
-            )
-        if box.a != 0:
-            syllables.append((box_strands(i, j)[0], box.a))
+    _require_all_twist(d, "only twist boxes have a braid form")
+    syllables = [(box_strands(i, j)[0], box.a) for i, j, box in d.boxes() if box.a != 0]
     return BraidWord(2 * d.n, tuple(syllables))
 
 
@@ -161,11 +162,7 @@ def pd_validate(code: PDCode) -> None:
 
 def to_pd_code(d: PlatDiagram) -> PDCode:
     """PD code of an all-twist diagram with at least one crossing."""
-    for i, j, box in d.boxes():
-        if not isinstance(box, Twist):
-            raise UnsupportedBoxError(
-                f"box ({i}, {j}) is rational; expand it before exporting a PD code"
-            )
+    _require_all_twist(d, "expand it before exporting a PD code")
     # per row, each box's twist and its first crossing id in sweep order;
     # odd rows gain a zero box at either end for their uncovered outer
     # strands, and a zero row above and below stands for the caps

@@ -23,9 +23,11 @@ _CAP = 24
 
 
 def _positions(d: PlatDiagram, path: AllowablePath | Sequence[int] | None):
+    """The validated entries of path and their corridor positions, or Nones."""
     if path is None:
-        return None
-    return corridor_positions(allowable_entries(d, path))
+        return None, None
+    entries = allowable_entries(d, path)
+    return entries, corridor_positions(entries)
 
 
 def render(
@@ -42,7 +44,7 @@ def render(
 
 
 def _render_svg(d: PlatDiagram, path) -> bytes:
-    ps = _positions(d, path)
+    _, ps = _positions(d, path)
 
     def x_at(x: int) -> int:
         return _MARGIN + (x - 1) * _DX
@@ -98,7 +100,7 @@ def _render_svg(d: PlatDiagram, path) -> bytes:
 
 
 def _render_ascii(d: PlatDiagram, path) -> bytes:
-    ps = _positions(d, path)
+    entries, ps = _positions(d, path)
 
     def col(x: int) -> int:
         return 2 + 4 * (x - 1)
@@ -124,7 +126,7 @@ def _render_ascii(d: PlatDiagram, path) -> bytes:
 
     lines = []
     if ps is not None:
-        lines.append("path: (" + ", ".join(str(a) for a in path) + ")")
+        lines.append("path: (" + ", ".join(str(a) for a in entries) + ")")
     lines.append(cap_line(True))
     for i in range(1, d.m + 1):
         lines.append("".join(strand_line()))

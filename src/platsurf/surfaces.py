@@ -3,9 +3,9 @@
 An allowable path, pushed slightly off the projection plane and capped
 with two disks behind the plane, bounds a 2-sphere meeting the link in
 m + 1 points.  The sphere splits the diagram into a left and a right
-tangle; ``decompose`` records which boxes and which whole link
-components land on each side, along with the pieces of the link the
-sphere actually cuts.
+tangle; ``decompose`` records, per row, the span of box columns on
+each side and which whole link components land there, along with the
+pieces of the link the sphere actually cuts.
 
 Three surfaces ride on that sphere:
 
@@ -47,23 +47,24 @@ TUBED_RIGHT = "tubed_right"
 class SideSummary:
     """One side of a separating sphere.
 
-    ``boxes`` lists the (row, column) pairs on this side and
-    ``loop_components`` the ids of link components lying entirely on
-    this side (closed loops the sphere never touches).
+    ``spans`` holds, per row top to bottom, the range of box columns on
+    this side and ``loop_components`` the ids of link components lying
+    entirely on this side (closed loops the sphere never touches).
     """
 
     side: Literal["left", "right"]
-    boxes: frozenset[tuple[int, int]]
+    spans: tuple[range, ...]
     loop_components: tuple[int, ...]
 
     @property
-    def arc_count(self) -> int:
-        """Strings of the tangle the sphere cuts off on this side, (m + 1) / 2.
+    def boxes(self) -> frozenset[tuple[int, int]]:
+        """The (row, column) pairs on this side."""
+        return frozenset((i, j) for i, span in enumerate(self.spans, 1) for j in span)
 
-        An allowable path leaves at least one box of every row on each
-        side, so the last row among ``boxes`` is row m.
-        """
-        return (max(i for i, _ in self.boxes) + 1) // 2
+    @property
+    def arc_count(self) -> int:
+        """Strings of the tangle the sphere cuts off on this side, (m + 1) / 2."""
+        return (len(self.spans) + 1) // 2
 
     @property
     def loop_count(self) -> int:
@@ -101,14 +102,10 @@ def decompose(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> SphereDeco
     entries = allowable_entries(d, path)
     crossing, left_loops, right_loops = sphere_partition(build_topology(d), entries)
 
-    left_boxes = []
-    right_boxes = []
-    for i, a in enumerate(entries, 1):
-        for j in range(1, d.row_length(i) + 1):
-            (left_boxes if j <= a else right_boxes).append((i, j))
-
-    left = SideSummary("left", frozenset(left_boxes), tuple(sorted(left_loops)))
-    right = SideSummary("right", frozenset(right_boxes), tuple(sorted(right_loops)))
+    left_spans = tuple(range(1, a + 1) for a in entries)
+    right_spans = tuple(range(a + 1, d.row_length(i) + 1) for i, a in enumerate(entries, 1))
+    left = SideSummary("left", left_spans, tuple(sorted(left_loops)))
+    right = SideSummary("right", right_spans, tuple(sorted(right_loops)))
     return SphereDecomposition(d, AllowablePath(entries), crossing, left, right)
 
 

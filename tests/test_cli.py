@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from platsurf import cli, diagram_to_json, make_diagram, random_diagram
+from platsurf import cli, count_allowable, diagram_to_json, make_diagram, random_diagram
 from platsurf.cli import main
 
 ALL_THREES = [[3, 3], [3, 3, 3], [3, 3]]
@@ -105,6 +105,29 @@ def test_paths_two_bridge_refusal(write_diagram, capsys):
     assert "2-bridge" in err
     assert main(["paths", "--count", d]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_counts_print_exactly_past_the_digit_limit(tmp_path, capsys):
+    # 71 502 boxes, within the box limit, and a path count of 4335 digits,
+    # past the interpreter's default int-to-text limit of 4300
+    d = tmp_path / "long.json"
+    d.write_text(diagram_to_json(random_diagram(3, 28801, seed=1)))
+    assert main(["paths", "--count", str(d)]) == 0
+    counted = capsys.readouterr().out.strip()
+    assert main(["info", str(d)]) == 0
+    assert f"allowable paths: {counted}\n" in capsys.readouterr().out
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(counted) == count_allowable(3, 28801)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(counted) > limit
+    # the limit is back in place for parsing
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 3, "m": 1, "rows": [[%s, 3]]}' % ("7" * 5000))
+    assert main(["info", str(huge)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_certify_exit_codes(write_diagram, capsys, tmp_path):

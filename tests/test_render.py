@@ -40,6 +40,12 @@ def test_ascii_path_overlay():
     assert overlaid.count("┊") == 3
 
 
+def test_path_given_as_an_iterator_renders_as_a_tuple():
+    d = make_diagram(3, 3, ALL_THREES)
+    for fmt in ("svg", "ascii"):
+        assert render(d, iter([1, 2, 1]), fmt) == render(d, (1, 2, 1), fmt)
+
+
 def test_svg_structure():
     d = make_diagram(3, 3, ALL_THREES)
     svg = render(d).decode()

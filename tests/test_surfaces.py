@@ -18,6 +18,8 @@ from platsurf import (
     make_diagram,
     surface_invariants,
 )
+from platsurf.diagram import box_strands
+from platsurf.paths import position
 from helpers import random_all_twist, random_shape, trace_sides
 
 
@@ -137,12 +139,24 @@ def test_decompose_random_consistency():
         n, m = random_shape(rng, 5, 7)
         d = random_all_twist(rng, n, m)
         t = build_topology(d)
-        for path in enumerate_allowable(d):
+        all_paths = enumerate_allowable(d)
+        for k, path in enumerate(all_paths):
             dec = decompose(d, path)
             assert dec.path.entries == path.entries
             both = dec.left.boxes | dec.right.boxes
             assert len(both) == len(dec.left.boxes) + len(dec.right.boxes)
             assert both == {(i, j) for i, j, _ in d.boxes()}
+            # a box is left of the sphere when its right strand is not past
+            # the corridor's strand position in its row
+            assert dec.left.boxes == {
+                (i, j)
+                for i, j, _ in d.boxes()
+                if box_strands(i, j)[1] <= position(i, path.entries[i - 1])
+            }
+            assert decompose(d, path.entries) == dec
+            if len(all_paths) > 1:
+                other = decompose(d, all_paths[k - 1])
+                assert (other.left, other.right) != (dec.left, dec.right)
             assert dec.crossing == crossing_components(t, path)
             assert set(dec.left.loop_components) == components_strictly_beside(
                 t, path, "left"
