@@ -21,8 +21,11 @@ Three modes for ``certify``:
   surfaces are essential swallow-follow tori.
 
 The fourth mode, ``corollary2``, is ``surgery.certify_haken``'s; its
-record subclasses ``Certificate``, and the one document builder,
-conclusions table and footnote builder here serve all four modes.
+record subclasses ``Certificate``.  One builder, ``Certificate.assemble``,
+decides every mode: it checks the mode's hypotheses, refuses a row count
+the mode does not cover, and writes the conclusions and footnotes.  A
+caller adds only its own refusals and records (the path and surfaces
+here, the slope conditions in ``surgery``).
 
 Any diagram with n <= 2 is refused in every mode: such links are
 2-bridge and their exteriors contain no closed essential surface, so
@@ -110,6 +113,25 @@ _CONCLUSIONS = {
     ),
 }
 
+# the row counts m each mode covers (m is odd), with the refusal for any
+# other m; relaxed_remark1 covers every m
+_SCOPE = {
+    MODE_THEOREM1: (
+        lambda m: m != 1,
+        "mode theorem1 covers m >= 3; single-row diagrams are the composite case, "
+        "use composite_remark3",
+    ),
+    MODE_COMPOSITE: (
+        lambda m: m == 1,
+        "mode composite_remark3 covers m = 1 only, this diagram has m = {m}",
+    ),
+    MODE_SURGERY: (
+        lambda m: m != 1,
+        "surgery certification covers m >= 3, matching the mode the ordinary "
+        "certificate would use",
+    ),
+}
+
 FOOTNOTE_INDEXING = (
     "Indexing caveat: the published index bounds in conditions (ii) and "
     "(iii) of the cited statement do not fit the row lengths of a 2n-plat; "
@@ -172,26 +194,57 @@ class Certificate:
         """Records written between ``path`` and ``surfaces``; none here."""
         return {}
 
+    @classmethod
+    def assemble(
+        cls, d: PlatDiagram, mode: str, refusals: Sequence[str] = (),
+        notes: Sequence[str] = (), **records,
+    ):
+        """The certificate of ``mode`` for d, with every refusal in order.
+
+        Refusals run: the 2-bridge line or one line per failed hypothesis
+        witness, then the mode's row-count scope, then ``refusals``.  The
+        certificate concludes only when none is left.  ``notes`` follow
+        the standard footnotes; ``records`` fill the remaining fields.
+        """
+        hyp = check_hypotheses(d, RELAXED if mode == MODE_RELAXED else STRICT)
+        if hyp.two_bridge:
+            lines = [
+                "n <= 2: the link is a 2-bridge link and its exterior contains "
+                "no closed essential surface; nothing here applies"
+            ]
+        else:
+            lines = [
+                f"condition (ii) fails: interior box (row {i}, box {j}) has value {value}"
+                for i, j, value in hyp.interior_zero_boxes
+            ]
+            lines += [
+                f"condition (iii) fails: odd-row end box (row {i}, box {j}) "
+                f"has value {value}, denominator below {END_BOUND[hyp.mode]}"
+                for i, j, value in hyp.small_end_boxes
+            ]
+        if mode in _SCOPE and not _SCOPE[mode][0](d.m):
+            lines.append(_SCOPE[mode][1].format(m=d.m))
+        lines += refusals
+
+        certified = not lines
+        rational = () if d.is_all_twist else (FOOTNOTE_RATIONAL,)
+        return cls(
+            mode=mode,
+            digest=diagram_digest(d),
+            certified=certified,
+            hypotheses=hyp,
+            conclusions=tuple(
+                Conclusion(statement.format(genus=(d.m + 1) // 2), cite)
+                for statement, cite in (_CONCLUSIONS[mode] if certified else ())
+            ),
+            refusals=tuple(lines),
+            footnotes=(FOOTNOTE_INDEXING, FOOTNOTE_EPISTEMIC, *rational, *notes),
+            **records,
+        )
+
 
 def certificate_json(cert: Certificate) -> str:
     return json.dumps(cert.to_dict(), indent=2) + "\n"
-
-
-def conclusions(mode: str, certified: bool, m: int) -> tuple[Conclusion, ...]:
-    """What a certificate of ``mode`` concludes: nothing unless certified."""
-    genus = (m + 1) // 2
-    return tuple(
-        Conclusion(statement.format(genus=genus), cite)
-        for statement, cite in (_CONCLUSIONS[mode] if certified else ())
-    )
-
-
-def footnotes(d: PlatDiagram, *extra: str) -> tuple[str, ...]:
-    """The indexing and epistemic notes, the rational note, then ``extra``."""
-    notes = (FOOTNOTE_INDEXING, FOOTNOTE_EPISTEMIC)
-    if not d.is_all_twist:
-        notes += (FOOTNOTE_RATIONAL,)
-    return notes + extra
 
 
 def _euler_footnote(dec: SphereDecomposition) -> str:
@@ -206,25 +259,6 @@ def _euler_footnote(dec: SphereDecomposition) -> str:
         f"F={closed_cells['faces']} chi={closed_cells['euler']} "
         f"genus={closed_cells['genus']}; both agree with the closed forms."
     )
-
-
-def hypothesis_refusals(hyp: HypothesisReport) -> list[str]:
-    """Refusal lines for the 2-bridge case or each failed hypothesis witness."""
-    if hyp.two_bridge:
-        return [
-            "n <= 2: the link is a 2-bridge link and its exterior contains "
-            "no closed essential surface; nothing here applies"
-        ]
-    refusals = [
-        f"condition (ii) fails: interior box (row {i}, box {j}) has value {value}"
-        for i, j, value in hyp.interior_zero_boxes
-    ]
-    refusals += [
-        f"condition (iii) fails: odd-row end box (row {i}, box {j}) "
-        f"has value {value}, denominator below {END_BOUND[hyp.mode]}"
-        for i, j, value in hyp.small_end_boxes
-    ]
-    return refusals
 
 
 def certify(
@@ -242,40 +276,11 @@ def certify(
     """
     if mode not in MODES:
         raise ParameterError(f"unknown certificate mode {mode!r}")
-    hyp_mode = RELAXED if mode == MODE_RELAXED else STRICT
-    hyp = check_hypotheses(d, hyp_mode)
-
-    refusals = hypothesis_refusals(hyp)
-    if mode == MODE_THEOREM1 and d.m == 1:
-        refusals.append(
-            "mode theorem1 covers m >= 3; single-row diagrams are the "
-            "composite case, use composite_remark3"
-        )
-    if mode == MODE_COMPOSITE and d.m != 1:
-        refusals.append(
-            f"mode composite_remark3 covers m = 1 only, this diagram has m = {d.m}"
-        )
-
-    chosen: AllowablePath | None = None
-    surfaces: tuple[SurfaceReport, ...] = ()
-    notes: tuple[str, ...] = ()
-    if path is not None:
-        chosen = AllowablePath.for_diagram(d, path)
-    elif d.n >= 3:
-        chosen, _ = extremal_paths(d)
-    if chosen is not None:
-        dec = decompose(d, chosen)
-        surfaces = surface_invariants(dec)
-        notes = (_euler_footnote(dec),)
-
-    return Certificate(
-        mode=mode,
-        digest=diagram_digest(d),
-        certified=not refusals,
-        hypotheses=hyp,
-        path=chosen,
-        surfaces=surfaces,
-        conclusions=conclusions(mode, not refusals, d.m),
-        refusals=tuple(refusals),
-        footnotes=footnotes(d, *notes),
+    if path is None:
+        if d.n <= 2:
+            return Certificate.assemble(d, mode, path=None, surfaces=())
+        path, _ = extremal_paths(d)
+    dec = decompose(d, path)
+    return Certificate.assemble(
+        d, mode, notes=(_euler_footnote(dec),), path=dec.path, surfaces=surface_invariants(dec)
     )

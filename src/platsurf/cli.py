@@ -51,8 +51,8 @@ _MODES = {
 
 def _load(path: str) -> PlatDiagram:
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise PlatError(f"cannot read {path}: {e}") from e
     return diagram_from_json(text)
 

@@ -89,14 +89,21 @@ def _entries(path: AllowablePath | Sequence[int]) -> tuple[int, ...]:
     return tuple(path)
 
 
+def _non_int(i: int, a: object) -> str | None:
+    """The fault of entry ``a`` of row i when it is not an int (a bool is not), else None."""
+    if isinstance(a, bool) or not isinstance(a, int):
+        return f"row {i}: entry {a!r} is not an int"
+    return None
+
+
 def check_allowable(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> PathCheck:
     """Step-rule check of a candidate entry vector against d's shape."""
     entries = _entries(path)
     if len(entries) != d.m:
         return PathCheck(False, f"expected {d.m} entries, got {len(entries)}")
     for i, a in enumerate(entries, 1):
-        if isinstance(a, bool) or not isinstance(a, int):
-            return PathCheck(False, f"row {i}: entry {a!r} is not an int")
+        if fault := _non_int(i, a):
+            return PathCheck(False, fault)
         hi = row_length(d.n, i) - 1
         if not 1 <= a <= hi:
             return PathCheck(
@@ -130,15 +137,19 @@ def allowable_entries(
 def crossing_count(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> int:
     """Number of intersections of the corridor with the link.
 
-    Accepts any entry vector with 0 <= a_i <= row_length(i), allowable
-    or not; the count equals m + 1 exactly on step-rule paths.  The two
-    endpoints of the corridor each cross one cap arc; interior gap i is
-    crossed |pos(i+1) - pos(i)| times, once per strand position passed.
+    Accepts any vector of int entries with 0 <= a_i <= row_length(i),
+    allowable or not; the count equals m + 1 exactly on step-rule paths.
+    A wrong length, a non-int entry (a bool included) or an entry out of
+    range raises PathError.  The two endpoints of the corridor each
+    cross one cap arc; interior gap i is crossed |pos(i+1) - pos(i)|
+    times, once per strand position passed.
     """
     entries = _entries(path)
     if len(entries) != d.m:
         raise PathError(f"expected {d.m} entries, got {len(entries)}")
     for i, a in enumerate(entries, 1):
+        if fault := _non_int(i, a):
+            raise PathError(fault)
         if not 0 <= a <= row_length(d.n, i):
             raise PathError(f"row {i}: entry {a} outside 0..{row_length(d.n, i)}")
     ps = corridor_positions(entries)

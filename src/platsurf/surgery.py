@@ -18,8 +18,10 @@ against the direct computation in the test suite; the direct check is
 the one that gates certification.
 
 A ``HakenCertificate`` is a ``certificates.Certificate`` with four
-surgery records more and never a path or surfaces; it shares that
-module's conclusions table, footnotes and JSON writer.
+surgery records more and never a path or surfaces.  That module's one
+builder, ``Certificate.assemble``, checks its hypotheses and row count
+and writes its conclusions and footnotes; this module supplies only the
+two slope refusals and the four records.
 """
 
 from __future__ import annotations
@@ -27,16 +29,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from .certificates import (
-    MODE_SURGERY,
-    Certificate,
-    certificate_json,
-    conclusions,
-    diagram_digest,
-    footnotes,
-    hypothesis_refusals,
-)
-from .diagram import STRICT, PlatDiagram, Twist, check_hypotheses
+from .certificates import MODE_SURGERY, Certificate, certificate_json
+from .diagram import PlatDiagram, Twist
 from .errors import ParameterError, TwoBridgeError
 from .paths import extremal_paths
 from .tangles import TangleFraction
@@ -185,14 +179,7 @@ def certify_haken(d: PlatDiagram, slopes: Sequence[Slope]) -> HakenCertificate:
             f"need {t.component_count} slopes (one per component), got {len(slopes)}"
         )
 
-    hyp = check_hypotheses(d, STRICT)
-    refusals = hypothesis_refusals(hyp)
-    if d.m == 1:
-        refusals.append(
-            "surgery certification covers m >= 3, matching the mode the "
-            "ordinary certificate would use"
-        )
-
+    refusals = []
     nontrivial = is_totally_nontrivial(slopes)
     if not nontrivial:
         ids = ", ".join(str(i) for i in nontrivial.offenders)
@@ -211,18 +198,7 @@ def certify_haken(d: PlatDiagram, slopes: Sequence[Slope]) -> HakenCertificate:
                 "surfaces would miss them"
             )
 
-    return HakenCertificate(
-        mode=MODE_SURGERY,
-        digest=diagram_digest(d),
-        certified=not refusals,
-        hypotheses=hyp,
-        path=None,
-        surfaces=(),
-        conclusions=conclusions(MODE_SURGERY, not refusals, d.m),
-        refusals=tuple(refusals),
-        footnotes=footnotes(d),
-        slopes=slopes,
-        totally_nontrivial=nontrivial,
-        coverage=coverage,
-        parity=parity_criterion(d),
+    return HakenCertificate.assemble(
+        d, MODE_SURGERY, refusals, path=None, surfaces=(), slopes=slopes,
+        totally_nontrivial=nontrivial, coverage=coverage, parity=parity_criterion(d),
     )

@@ -73,6 +73,13 @@ def test_hostile_inputs_exit_2(write_diagram, tmp_path, capsys):
     assert main(["validate", str(deep)]) == 2
     assert "error:" in capsys.readouterr().err
 
+    text = diagram_to_json(make_diagram(3, 3, ALL_THREES)).encode()
+    for name, data in (("latin1.json", text + b"\xff"), ("bom.json", b"\xef\xbb\xbf" + text),
+                       ("nul.json", text + b"\x00")):
+        (tmp_path / name).write_bytes(data)
+        assert main(["validate", str(tmp_path / name)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     twist = write_diagram([[10**12, 0]], 3, 1, "twist.json")
     assert main(["export", twist, "--format", "pd"]) == 2
     assert "limited to" in capsys.readouterr().err

@@ -132,6 +132,12 @@ def test_crossing_count_input_errors():
         crossing_count(d, (1, 1))
     with pytest.raises(PathError):
         crossing_count(d, (1, 7, 1))
+    d = random_diagram(3, 5, seed=1)
+    for bad in ((1, "x", 1, 1, 1), (1, None, 1, 1, 1), (1.5, 1, 1, 1, 1),
+                (1.0, 1, 1, 1, 1), (True, 1, 1, 1, 1)):
+        with pytest.raises(PathError, match="is not an int"):
+            crossing_count(d, bad)
+        assert check_allowable(d, bad).reason.endswith("is not an int")
 
 
 def test_extremal_paths():

@@ -13,8 +13,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from platsurf import (  # noqa: E402
     PlatDiagram,
+    Slope,
     UnsupportedBoxError,
     build_topology,
+    certify,
+    certify_haken,
     check_hypotheses,
     count_allowable,
     diagram_from_json,
@@ -23,6 +26,12 @@ from platsurf import (  # noqa: E402
     make_diagram,
     pd_trace_components,
     to_pd_code,
+)
+from platsurf.certificates import (  # noqa: E402
+    FOOTNOTE_EPISTEMIC,
+    FOOTNOTE_INDEXING,
+    FOOTNOTE_RATIONAL,
+    MODES,
 )
 from helpers import row_len, sweep_pd_code, union_find_components  # noqa: E402
 
@@ -120,3 +129,17 @@ def test_reflection_keeps_components_and_paths(d):
 @given(st.one_of(twist_diagrams(), mixed_diagrams()))
 def test_walk_equals_the_union_find_oracle(d):
     assert [sorted(c) for c in build_topology(d).components] == union_find_components(d)
+
+
+@SMALL
+@given(st.one_of(twist_diagrams(), twist_diagrams(strict=True), mixed_diagrams()))
+def test_the_modes_agree_through_one_builder(d):
+    theorem1, *others = (certify(d, mode=mode) for mode in MODES)
+    haken = certify_haken(d, [Slope(1, 1)] * build_topology(d).component_count)
+    for cert in (theorem1, *others, haken):
+        assert cert.certified == (not cert.refusals) == bool(cert.conclusions), cert.mode
+        assert cert.footnotes[:2] == (FOOTNOTE_INDEXING, FOOTNOTE_EPISTEMIC)
+        assert (FOOTNOTE_RATIONAL in cert.footnotes) == (not d.is_all_twist)
+    assert haken.hypotheses == theorem1.hypotheses
+    if d.m >= 3:
+        assert haken.refusals[: len(theorem1.refusals)] == theorem1.refusals
