@@ -127,7 +127,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     d = _load(args.file)
-    path = _parse_path(args.path) if args.path else None
+    path = None if args.path is None else _parse_path(args.path)
     cert = certify(d, path, _MODES[args.mode])
     _emit(certificate_json(cert), args.out)
     return 0 if cert.certified else 1
@@ -153,7 +153,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     d = _load(args.file)
-    path = _parse_path(args.path) if args.path else None
+    path = None if args.path is None else _parse_path(args.path)
     _emit_bytes(render(d, path, args.format), args.out)
     return 0
 

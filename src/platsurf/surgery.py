@@ -43,11 +43,14 @@ MERIDIAN = Slope(1, 0)
 
 
 def parse_slopes(text: str) -> tuple[Slope, ...]:
-    """Comma-separated slope list, e.g. '3/1,5/2,1/0'."""
-    items = [s for s in text.split(",") if s.strip()]
-    if not items:
+    """Comma-separated slope list, e.g. '3/1,5/2,1/0'; no item may be empty."""
+    if not text.strip():
         raise ParameterError("empty slope list")
-    return tuple(Slope.parse(s) for s in items)
+    items = text.split(",")
+    for k, item in enumerate(items, 1):
+        if not item.strip():
+            raise ParameterError(f"empty slope at position {k} of {text!r}")
+    return tuple(map(Slope.parse, items))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -22,18 +22,25 @@ end indices 2 * seg and 2 * seg + 1.  ``link[e]`` is the end joined to
 end e.  A walk that leaves a segment by end e enters the next segment
 by ``link[e]`` and leaves that one by the other end, ``link[e] ^ 1``.
 A caps-paired box turns the walk around, and the ``^ 1`` step follows
-without a case of its own.
+without a case of its own.  ``_end_links`` fills every straight join
+with two slice assignments, one for the top ends and one for the bottom
+ends, then overwrites the caps and the joins of each non-identity box,
+moving along a row by a running end offset.
 
-``build_topology`` scans segments in index order and walks the cycle of
-each segment not yet labelled, leaving it downward.  Each component is
-thus found from its smallest segment, and the ids come out canonical:
-components ordered by their smallest segment, numbered from 0.
+``build_topology`` starts every segment's label at -1 and finds the next
+unlabelled segment with ``list.index``, so segments are scanned in index
+order; it walks that segment's cycle leaving it downward, labelling each
+segment as the walk leaves it.  Each component is thus found from its
+smallest segment, and the ids come out canonical: components ordered by
+their smallest segment, numbered from 0.
 The flat list of segment labels and each component's start segment are
 kept on the diagram, like its slope table, so the link is walked once
 per diagram instance.  ``LinkTopology`` is a view over the two lists;
 ``components``, the segment sets, is built from the labels on each access.
 ``component_cycles`` records the same walk, reading each connector
-(cap, box or straight stretch) off the end it leaves by.
+(cap, box or straight stretch) off the end it leaves by; its walk,
+``_cycles``, which the PD code also reads, finds each start with
+``bytearray.find``.
 
 ``braid_permutation`` gives an independent route to the same count: the
 permutation that the rows induce on strand positions, read top to
@@ -60,7 +67,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .diagram import CAPS, IDENTITY, SWAP, PlatDiagram, box_strands
+from .diagram import CAPS, SWAP, PlatDiagram, box_strands
 from .errors import PathError, UnsupportedBoxError
 from .paths import AllowablePath, allowable_entries, corridor_positions
 
@@ -71,29 +78,33 @@ Connector = tuple  # ("top_cap", j) | ("bottom_cap", j) | ("box", i, j) | ("stra
 def _end_links(d: PlatDiagram) -> list[int]:
     """The perfect matching on segment ends induced by caps, boxes, rows."""
     w, m = 2 * d.n, d.m
+    ends = 2 * w * (m + 1)
     # first every end as a straight stretch: the bottom end of (g, x) meets
     # the top end of (g + 1, x); that points outside the list for the top
     # ends of gap 0 and the bottom ends of gap m, which the caps then set
     step = 2 * w - 1
-    link = [e + step if e & 1 else e - step for e in range(2 * w * (m + 1))]
+    link = [0] * ends
+    link[0::2] = range(-step, ends - step, 2)
+    link[1::2] = range(1 + step, ends + step, 2)
     last = 2 * w * m  # the top end of segment (m, 1)
     for e in range(0, 2 * w, 4):
         link[e], link[e + 2] = e + 2, e
         link[last + e + 1], link[last + e + 3] = last + e + 3, last + e + 1
-    for i, codes in enumerate(d.slope_table, 1):
-        for j, code in enumerate(codes, 1):
+    for i, codes in enumerate(d.slope_table):
+        # row i + 1: up is the bottom end of (i, s) for its box over strands
+        # (s, s + 1), where s starts at 2 in odd rows and at 1 in even ones
+        up = 2 * i * w + (1 if i & 1 else 3)
+        for code in codes:
             kind = code % 3
-            if kind == IDENTITY:  # the straight joins already stand
-                continue
-            s = box_strands(i, j)[0]
-            up = 2 * ((i - 1) * w + s - 1) + 1  # bottom end of (i - 1, s)
-            down = up + step  # top end of (i, s)
             if kind == SWAP:
+                down = up + step  # the top end of (i + 1, s)
                 link[up], link[down + 2] = down + 2, up
                 link[up + 2], link[down] = down, up + 2
-            else:  # caps: both upper ends meet, both lower ends meet
+            elif kind == CAPS:  # both upper ends meet, both lower ends meet
+                down = up + step
                 link[up], link[up + 2] = up + 2, up
                 link[down], link[down + 2] = down + 2, down
+            up += 4
     return link
 
 
@@ -105,9 +116,8 @@ def _cycles(d: PlatDiagram) -> Iterator[list[int]]:
     """
     link = _end_links(d)
     seen = bytearray(len(link) // 2)
-    for seg in range(len(seen)):
-        if seen[seg]:
-            continue
+    seg = seen.find(0)
+    while seg >= 0:
         e = start = 2 * seg + 1
         ends = []
         while True:
@@ -117,6 +127,7 @@ def _cycles(d: PlatDiagram) -> Iterator[list[int]]:
             if e == start:
                 break
         yield ends
+        seg = seen.find(0, seg)
 
 
 def _connector(d: PlatDiagram, e: int) -> Connector:
@@ -191,12 +202,23 @@ def build_topology(d: PlatDiagram) -> LinkTopology:
     try:
         label, starts = d.__dict__["_components"]
     except KeyError:
-        label = [0] * (2 * d.n * (d.m + 1))
+        link = _end_links(d)
+        label = [-1] * (len(link) >> 1)
         starts = []
-        for cid, ends in enumerate(_cycles(d)):
-            starts.append(ends[0] >> 1)
-            for e in ends:
+        seg = 0
+        while True:
+            try:
+                seg = label.index(-1, seg)
+            except ValueError:
+                break
+            cid = len(starts)
+            starts.append(seg)
+            e = start = 2 * seg + 1
+            while True:
                 label[e >> 1] = cid
+                e = link[e] ^ 1
+                if e == start:
+                    break
         d.__dict__["_components"] = label, starts
     return LinkTopology(d, label, starts)
 

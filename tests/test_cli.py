@@ -168,6 +168,9 @@ def test_certify_composite_and_paths(write_diagram, capsys):
     capsys.readouterr()
     assert main(["certify", tall, "--path", "one"]) == 2
     capsys.readouterr()
+    # an empty path is a bad path, not the default one
+    assert main(["certify", tall, "--path="]) == 2
+    assert "bad path ''" in capsys.readouterr().err
 
 
 def test_certify_unknown_mode_is_usage_error(write_diagram):
@@ -190,6 +193,8 @@ def test_surgery_exit_codes(write_diagram, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["surgery", d, "--slopes", "x/y"]) == 2
     capsys.readouterr()
+    assert main(["surgery", d, "--slopes", "3/1,"]) == 2
+    assert "empty slope at position 2" in capsys.readouterr().err
 
 
 def test_export_formats(write_diagram, capsys):
@@ -222,6 +227,9 @@ def test_render_to_file(write_diagram, tmp_path, capsys):
 
     assert main(["render", d, "--path", "5,5,5", "--out", str(tmp_path / "x.svg")]) == 2
     capsys.readouterr()
+    assert main(["render", d, "--path=", "--out", str(tmp_path / "y.svg")]) == 2
+    assert "bad path ''" in capsys.readouterr().err
+    assert not (tmp_path / "y.svg").exists()
 
 
 def test_random_roundtrip_and_determinism(tmp_path, capsys):

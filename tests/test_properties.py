@@ -33,6 +33,7 @@ from platsurf.certificates import (  # noqa: E402
     FOOTNOTE_RATIONAL,
     MODES,
 )
+from platsurf.topology import _end_links  # noqa: E402
 from helpers import row_len, sweep_pd_code, union_find_components  # noqa: E402
 
 SMALL = settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -123,6 +124,15 @@ def test_reflection_keeps_components_and_paths(d):
     r = d.reflected()
     assert build_topology(r).component_count == build_topology(d).component_count
     assert len(enumerate_allowable(r)) == count_allowable(r.n, r.m) == count_allowable(d.n, d.m)
+
+
+@SMALL
+@given(st.one_of(twist_diagrams(), mixed_diagrams()))
+def test_end_matching_is_a_fixed_point_free_involution(d):
+    link = _end_links(d)
+    assert len(link) == 2 * 2 * d.n * (d.m + 1)
+    assert all(0 <= f < len(link) for f in link)
+    assert all(link[link[e]] == e != link[e] for e in range(len(link)))
 
 
 @SMALL

@@ -58,6 +58,13 @@ def test_slope_parsing():
     for bad in ("a/b", "1/2/3", "0/0", "", "1//2"):
         with pytest.raises(ParameterError):
             parse_slopes(bad)
+    for blank in ("", " ", " \t"):
+        with pytest.raises(ParameterError, match="empty slope list"):
+            parse_slopes(blank)
+    # an empty item is an error, not a dropped slope, so arity checks see it
+    for text, position in (("3/1,,3/1", 2), ("3/1,", 2), (" ,3/1", 1), (",", 1)):
+        with pytest.raises(ParameterError, match=f"empty slope at position {position} "):
+            parse_slopes(text)
 
 
 def test_totally_nontrivial():

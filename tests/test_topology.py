@@ -268,13 +268,13 @@ def test_sphere_path_must_be_allowable():
 
 def test_build_topology_is_cached(monkeypatch):
     walks = []
-    cycles = topology._cycles
+    end_links = topology._end_links
 
     def counted(d):
         walks.append(d)
-        return cycles(d)
+        return end_links(d)
 
-    monkeypatch.setattr(topology, "_cycles", counted)
+    monkeypatch.setattr(topology, "_end_links", counted)
     d = make_diagram(3, 3, [[3, 3], [3, 3, 3], [3, 3]])
     first = build_topology(d)
     again = build_topology(d)
