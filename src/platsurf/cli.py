@@ -8,6 +8,10 @@ or unwritable --out, over-limit PD exports, and argparse's own usage
 errors), 3 for an internal fault of platsurf itself, reported on one
 stderr line.  A closed stdout, as in ``platsurf paths d.json | head -1``,
 ends the command by SIGPIPE (shell status 141) where the platform has it.
+
+Submodules load on first use: each ``cmd_*`` imports what it calls, so
+``platsurf validate`` never loads the certificate, surface, surgery,
+topology or export modules.
 """
 
 from __future__ import annotations
@@ -16,42 +20,31 @@ import argparse
 import json
 import signal
 import sys
-from pathlib import Path
-from typing import Sequence
 
-from .certificates import (
-    MODE_COMPOSITE,
-    MODE_RELAXED,
-    MODE_THEOREM1,
-    certificate_json,
-    certify,
-)
-from .diagram import (
-    RELAXED,
-    STRICT,
-    PlatDiagram,
-    check_hypotheses,
-    diagram_from_json,
-    diagram_to_json,
-    random_diagram,
-)
 from .errors import PlatError
-from .export import to_braid_word, to_pd_code
-from .paths import count_allowable, iter_allowable
-from .render import render
-from .surgery import certify_haken, haken_certificate_json, parse_slopes
-from .topology import build_topology
 
+# for annotations only: typing is not imported at run time
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Sequence
+
+    from .diagram import PlatDiagram
+
+# --mode choices and the certificate modes they name
+# (certificates.MODE_THEOREM1, MODE_RELAXED and MODE_COMPOSITE)
 _MODES = {
-    "theorem1": MODE_THEOREM1,
-    "relaxed": MODE_RELAXED,
-    "composite": MODE_COMPOSITE,
+    "theorem1": "theorem1",
+    "relaxed": "relaxed_remark1",
+    "composite": "composite_remark3",
 }
 
 
 def _load(path: str) -> PlatDiagram:
+    from .diagram import diagram_from_json
+
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise PlatError(f"cannot read {path}: {e}") from e
     return diagram_from_json(text)
@@ -64,24 +57,16 @@ def _parse_path(text: str) -> tuple[int, ...]:
         raise PlatError(f"bad path {text!r}: expected comma-separated ints") from e
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            Path(out).write_text(text)
-        except OSError as e:
-            raise PlatError(f"cannot write {out}: {e}") from e
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_bytes(data: bytes, out: str | None) -> None:
-    if out:
-        try:
-            Path(out).write_bytes(data)
-        except OSError as e:
-            raise PlatError(f"cannot write {out}: {e}") from e
-    else:
-        sys.stdout.buffer.write(data)
+def _emit(data: str | bytes, out: str | None) -> None:
+    binary = isinstance(data, bytes)
+    if not out:
+        (sys.stdout.buffer if binary else sys.stdout).write(data)
+        return
+    try:
+        with open(out, "wb" if binary else "w") as f:
+            f.write(data)
+    except OSError as e:
+        raise PlatError(f"cannot write {out}: {e}") from e
 
 
 def _count_text(n: int, m: int) -> str:
@@ -90,6 +75,8 @@ def _count_text(n: int, m: int) -> str:
     The interpreter refuses to convert ints past 4300 digits to text; the
     limit is lifted for this one conversion only, so parsing keeps it.
     """
+    from .paths import count_allowable
+
     count = count_allowable(n, m)
     if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
         return str(count)
@@ -102,6 +89,8 @@ def _count_text(n: int, m: int) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .diagram import RELAXED, STRICT, check_hypotheses
+
     d = _load(args.file)
     report = check_hypotheses(d, RELAXED if args.relaxed else STRICT)
     print(json.dumps(report.to_dict(), indent=2))
@@ -120,12 +109,16 @@ def cmd_paths(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
+    from .paths import iter_allowable
+
     for p in iter_allowable(d):  # streamed: the count grows exponentially in m
         print(",".join(str(a) for a in p.entries))
     return 0
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    from .certificates import certificate_json, certify
+
     d = _load(args.file)
     path = None if args.path is None else _parse_path(args.path)
     cert = certify(d, path, _MODES[args.mode])
@@ -134,6 +127,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_surgery(args: argparse.Namespace) -> int:
+    from .surgery import certify_haken, haken_certificate_json, parse_slopes
+
     d = _load(args.file)
     cert = certify_haken(d, parse_slopes(args.slopes))
     _emit(haken_certificate_json(cert), args.out)
@@ -142,23 +137,30 @@ def cmd_surgery(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     d = _load(args.file)
-    if args.format == "braid":
-        _emit(to_braid_word(d).text() + "\n", args.out)
-    elif args.format == "pd":
-        _emit(to_pd_code(d).text() + "\n", args.out)
-    else:
+    if args.format == "json":
+        from .diagram import diagram_to_json
+
         _emit(diagram_to_json(d), args.out)
+        return 0
+    from .export import to_braid_word, to_pd_code
+
+    code = to_braid_word(d) if args.format == "braid" else to_pd_code(d)
+    _emit(code.text() + "\n", args.out)
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from .render import render
+
     d = _load(args.file)
     path = None if args.path is None else _parse_path(args.path)
-    _emit_bytes(render(d, path, args.format), args.out)
+    _emit(render(d, path, args.format), args.out)
     return 0
 
 
 def cmd_random(args: argparse.Namespace) -> int:
+    from .diagram import diagram_to_json, random_diagram
+
     d = random_diagram(
         args.n,
         args.m,
@@ -171,6 +173,8 @@ def cmd_random(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    from .topology import build_topology
+
     d = _load(args.file)
     t = build_topology(d)
     lines = [

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import random
@@ -200,6 +199,8 @@ class PlatDiagram:
     @functools.cached_property
     def digest(self) -> str:
         """sha256 hex digest of the canonical diagram encoding."""
+        import hashlib  # only certificates read the digest: kept off the import path
+
         return hashlib.sha256(canonical_diagram_bytes(self)).hexdigest()
 
     @functools.cached_property

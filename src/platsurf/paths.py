@@ -37,6 +37,9 @@ from .diagram import PlatDiagram, row_length
 from .errors import ParameterError, PathError, TwoBridgeError
 
 
+_TWO_BRIDGE = "a 2-bridge plat (n <= 2) admits no allowable paths"
+
+
 def position(i: int, a: int) -> int:
     """Strand position pos(i) of entry a in row i."""
     return 2 * a + 1 if i % 2 == 1 else 2 * a
@@ -97,7 +100,13 @@ def _non_int(i: int, a: object) -> str | None:
 
 
 def check_allowable(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> PathCheck:
-    """Step-rule check of a candidate entry vector against d's shape."""
+    """Step-rule check of a candidate entry vector against d's shape.
+
+    A 2-bridge diagram (n <= 2) has no allowable path, so every vector
+    fails there with that reason.
+    """
+    if d.n <= 2:
+        return PathCheck(False, _TWO_BRIDGE)
     entries = _entries(path)
     if len(entries) != d.m:
         return PathCheck(False, f"expected {d.m} entries, got {len(entries)}")
@@ -231,9 +240,7 @@ def extremal_paths(d: PlatDiagram) -> tuple[AllowablePath, AllowablePath]:
     whose far sides must be empty for slope coverage.
     """
     if d.n <= 2:
-        raise TwoBridgeError(
-            "a 2-bridge plat (n <= 2) admits no allowable paths"
-        )
+        raise TwoBridgeError(_TWO_BRIDGE)
     low = AllowablePath(tuple(1 for _ in range(d.m)))
     high = AllowablePath(
         tuple(d.n - 2 if i % 2 == 1 else d.n - 1 for i in range(1, d.m + 1))

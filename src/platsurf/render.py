@@ -10,11 +10,16 @@ renders are reproducible.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .diagram import PlatDiagram, box_strands
 from .errors import ParameterError
-from .paths import AllowablePath, allowable_entries, corridor_positions
+
+# ``import platsurf`` binds render, so this module imports what it draws
+# with only when it draws; typing is not imported at run time either.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Sequence
+
+    from .diagram import PlatDiagram
+    from .paths import AllowablePath
 
 _MARGIN = 40
 _DX = 36
@@ -26,6 +31,8 @@ def _positions(d: PlatDiagram, path: AllowablePath | Sequence[int] | None):
     """The validated entries of path and their corridor positions, or Nones."""
     if path is None:
         return None, None
+    from .paths import allowable_entries, corridor_positions
+
     entries = allowable_entries(d, path)
     return entries, corridor_positions(entries)
 
@@ -44,6 +51,8 @@ def render(
 
 
 def _render_svg(d: PlatDiagram, path) -> bytes:
+    from .diagram import box_strands
+
     _, ps = _positions(d, path)
 
     def x_at(x: int) -> int:
@@ -100,6 +109,8 @@ def _render_svg(d: PlatDiagram, path) -> bytes:
 
 
 def _render_ascii(d: PlatDiagram, path) -> bytes:
+    from .diagram import box_strands
+
     entries, ps = _positions(d, path)
 
     def col(x: int) -> int:

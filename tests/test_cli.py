@@ -26,6 +26,16 @@ def write_diagram(tmp_path):
     return _write
 
 
+def test_mode_choices_name_the_certificate_modes():
+    from platsurf import MODE_COMPOSITE, MODE_RELAXED, MODE_THEOREM1
+
+    assert cli._MODES == {
+        "theorem1": MODE_THEOREM1,
+        "relaxed": MODE_RELAXED,
+        "composite": MODE_COMPOSITE,
+    }
+
+
 def test_validate_pass_and_fail(write_diagram, capsys):
     good = write_diagram(ALL_THREES, 3, 3)
     assert main(["validate", good]) == 0
@@ -112,6 +122,15 @@ def test_paths_two_bridge_refusal(write_diagram, capsys):
     assert "2-bridge" in err
     assert main(["paths", "--count", d]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_path_on_two_bridge_diagram_gets_the_two_bridge_reason(write_diagram, capsys):
+    d = write_diagram([[3], [3, 3], [3]], 2, 3)
+    for argv in (["certify", d, "--path", "1,1,1"], ["render", d, "--path", "1,1,1"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a 2-bridge plat (n <= 2) admits no allowable paths\n"
 
 
 def test_counts_print_exactly_past_the_digit_limit(tmp_path, capsys):

@@ -19,6 +19,7 @@ from platsurf import (
     make_diagram,
     random_diagram,
 )
+from platsurf.paths import allowable_entries
 from helpers import brute_force_paths, polyline_crossing_count, row_len
 
 
@@ -157,6 +158,16 @@ def test_two_bridge_cases():
     assert count_allowable(2, 3) == 0
     with pytest.raises(TwoBridgeError):
         extremal_paths(d)
+
+
+def test_paths_on_two_bridge_diagrams_get_the_two_bridge_reason():
+    reason = "a 2-bridge plat (n <= 2) admits no allowable paths"
+    for n, m, rows in ((2, 3, [[3], [3, 3], [3]]), (1, 1, [[]])):
+        d = make_diagram(n, m, rows)
+        for path in ((1,) * m, (0,) * m, (1, 1)):
+            assert check_allowable(d, path).reason == reason
+        with pytest.raises(PathError, match="2-bridge"):
+            allowable_entries(d, (1,) * m)
 
 
 def test_count_parameter_errors():
