@@ -13,26 +13,18 @@ of it.  Conventions for every format live in FORMATS.md.
 Submodules load on first use: ``import platsurf`` runs only ``errors``
 and ``render``, and a public name such as ``platsurf.certify`` imports
 its submodule the first time it is looked up (PEP 562), so a command
-pays only for the modules it runs.
+pays only for the modules it runs.  The name → submodule table
+``_LAZY`` is the one list of public names; ``__all__`` is computed
+from it.
 """
-
-from .errors import (
-    MalformedDiagramError,
-    MalformedPDCodeError,
-    ParameterError,
-    PathError,
-    PlatError,
-    TwoBridgeError,
-    UnsupportedBoxError,
-)
 
 # Bound here, not on first use: importing the submodule platsurf.render
 # would otherwise leave the name bound to the module.
 from .render import render
 
-# Every other public name, with the submodule that defines it; each
-# submodule's own name maps to itself, so ``platsurf.topology`` still
-# reads as the module.
+# Every public name but render, with the submodule that defines it;
+# __all__ is computed from this table.  Each submodule's own name maps
+# to itself, so ``platsurf.topology`` still reads as the module.
 _LAZY = {
     name: module
     for module, names in (
@@ -60,6 +52,8 @@ _LAZY = {
                       "component_cycles", "components_meeting_sphere",
                       "components_strictly_beside", "crossing_components",
                       "crossing_pieces")),
+        ("errors", ("MalformedDiagramError", "MalformedPDCodeError", "ParameterError",
+                    "PathError", "PlatError", "TwoBridgeError", "UnsupportedBoxError")),
     )
     for name in (module, *names)
 }
@@ -85,75 +79,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllowablePath",
-    "BraidWord",
-    "Certificate",
-    "Conclusion",
-    "HakenCertificate",
-    "HypothesisReport",
-    "LinkTopology",
-    "MalformedDiagramError",
-    "MalformedPDCodeError",
-    "MERIDIAN",
-    "MODE_COMPOSITE",
-    "MODE_RELAXED",
-    "MODE_THEOREM1",
-    "PDCode",
-    "PLANAR",
-    "Pairing",
-    "ParameterError",
-    "PathError",
-    "PlatDiagram",
-    "PlatError",
-    "Rational",
-    "SideSummary",
-    "Slope",
-    "SphereDecomposition",
-    "SurfaceReport",
-    "TUBED_LEFT",
-    "TUBED_RIGHT",
-    "TangleFraction",
-    "Twist",
-    "TwoBridgeError",
-    "UnsupportedBoxError",
-    "assembled_surface_cells",
-    "box_denominator",
-    "box_fraction",
-    "braid_permutation",
-    "build_topology",
-    "certificate_json",
-    "certify",
-    "certify_haken",
-    "check_allowable",
-    "check_hypotheses",
-    "component_cycles",
-    "components_meeting_sphere",
-    "components_strictly_beside",
-    "count_allowable",
-    "crossing_components",
-    "crossing_count",
-    "crossing_pieces",
-    "decompose",
-    "diagram_digest",
-    "diagram_from_json",
-    "diagram_to_json",
-    "direct_coverage_check",
-    "enumerate_allowable",
-    "extremal_paths",
-    "haken_certificate_json",
-    "incompressibility_level",
-    "is_totally_nontrivial",
-    "iter_allowable",
-    "make_diagram",
-    "pairing",
-    "pairing_by_tracing",
-    "parity_criterion",
-    "parse_slopes",
-    "pd_trace_components",
-    "random_diagram",
-    "render",
-    "surface_invariants",
-    "to_braid_word",
-    "to_pd_code",
-]
+__all__ = ["render", *(name for name, module in _LAZY.items() if name != module)]

@@ -3,10 +3,10 @@
 Exit codes, uniformly: 0 for a positive verdict (valid, certified,
 exported), 1 for a well-formed refusal (hypotheses fail, certification
 refused, no paths to list), 2 for malformed input or parameters (bad
-JSON, even m, non-allowable --path, wrong slope arity, unreadable input
-or unwritable --out, over-limit PD exports, and argparse's own usage
-errors), 3 for an internal fault of platsurf itself, reported on one
-stderr line.  A closed stdout, as in ``platsurf paths d.json | head -1``,
+JSON, even m, non-allowable --path, wrong slope arity, unreadable input,
+an empty or unwritable --out, over-limit PD exports, and argparse's own
+usage errors), 3 for an internal fault of platsurf itself, reported on
+one stderr line.  A closed stdout, as in ``platsurf paths d.json | head -1``,
 ends the command by SIGPIPE (shell status 141) where the platform has it.
 
 Submodules load on first use: each ``cmd_*`` imports what it calls, so
@@ -59,7 +59,7 @@ def _parse_path(text: str) -> tuple[int, ...]:
 
 def _emit(data: str | bytes, out: str | None) -> None:
     binary = isinstance(data, bytes)
-    if not out:
+    if out is None:
         (sys.stdout.buffer if binary else sys.stdout).write(data)
         return
     try:

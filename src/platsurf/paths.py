@@ -92,10 +92,19 @@ def _entries(path: AllowablePath | Sequence[int]) -> tuple[int, ...]:
     return tuple(path)
 
 
-def _non_int(i: int, a: object) -> str | None:
-    """The fault of entry ``a`` of row i when it is not an int (a bool is not), else None."""
-    if isinstance(a, bool) or not isinstance(a, int):
-        return f"row {i}: entry {a!r} is not an int"
+def _shape_fault(
+    d: PlatDiagram, entries: tuple, lo: int, slack: int, span: str
+) -> str | None:
+    """The first fault of ``entries`` as d.m ints (a bool is not one) with
+    lo <= a_i <= row_length(i) - slack, or None; ``span`` names the range."""
+    if len(entries) != d.m:
+        return f"expected {d.m} entries, got {len(entries)}"
+    for i, a in enumerate(entries, 1):
+        if isinstance(a, bool) or not isinstance(a, int):
+            return f"row {i}: entry {a!r} is not an int"
+        hi = row_length(d.n, i) - slack
+        if not lo <= a <= hi:
+            return f"row {i}: entry {a} outside {span}{lo}..{hi}"
     return None
 
 
@@ -108,16 +117,8 @@ def check_allowable(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> Path
     if d.n <= 2:
         return PathCheck(False, _TWO_BRIDGE)
     entries = _entries(path)
-    if len(entries) != d.m:
-        return PathCheck(False, f"expected {d.m} entries, got {len(entries)}")
-    for i, a in enumerate(entries, 1):
-        if fault := _non_int(i, a):
-            return PathCheck(False, fault)
-        hi = row_length(d.n, i) - 1
-        if not 1 <= a <= hi:
-            return PathCheck(
-                False, f"row {i}: entry {a} outside allowable range 1..{hi}"
-            )
+    if fault := _shape_fault(d, entries, 1, 1, "allowable range "):
+        return PathCheck(False, fault)
     for i in range(1, len(entries)):
         prev, cur = entries[i - 1], entries[i]
         if i % 2 == 1:  # odd row to even row below it
@@ -154,13 +155,8 @@ def crossing_count(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> int:
     times, once per strand position passed.
     """
     entries = _entries(path)
-    if len(entries) != d.m:
-        raise PathError(f"expected {d.m} entries, got {len(entries)}")
-    for i, a in enumerate(entries, 1):
-        if fault := _non_int(i, a):
-            raise PathError(fault)
-        if not 0 <= a <= row_length(d.n, i):
-            raise PathError(f"row {i}: entry {a} outside 0..{row_length(d.n, i)}")
+    if fault := _shape_fault(d, entries, 0, 0, ""):
+        raise PathError(fault)
     ps = corridor_positions(entries)
     return 1 + sum(abs(ps[i + 1] - ps[i]) for i in range(len(ps) - 1)) + 1
 

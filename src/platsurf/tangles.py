@@ -48,8 +48,6 @@ class TangleFraction:
             raise ParameterError(f"fraction {self.p}/{self.q} not canonical: q < 0")
         if self.q == 0 and self.p != 1:
             raise ParameterError("infinite slope must be written 1/0")
-        if (self.p, self.q) == (0, 0):
-            raise ParameterError("0/0 is not a slope")
         if math.gcd(abs(self.p), self.q) != 1:
             raise ParameterError(f"fraction {self.p}/{self.q} is not reduced")
 

@@ -3,6 +3,7 @@ input), 3 (internal fault)."""
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -10,8 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from platsurf import cli, count_allowable, diagram_to_json, make_diagram, random_diagram
+from platsurf import (
+    MalformedDiagramError,
+    cli,
+    count_allowable,
+    diagram_to_json,
+    make_diagram,
+    random_diagram,
+)
 from platsurf.cli import main
+from platsurf.diagram import from_json_dict
 
 ALL_THREES = [[3, 3], [3, 3, 3], [3, 3]]
 
@@ -70,6 +79,20 @@ def test_validate_malformed_inputs(tmp_path, capsys):
 
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+
+    for doc, message in (
+        ({"n": 3, "m": 1, "rows": [[3, [1.5, 2]]]}, "rational box entries must be ints, got 1.5"),
+        *(({"n": 3, "m": m, "rows": []}, f"m must be a positive int, got {m!r}")
+          for m in (0, -1, True, 3.0)),
+        ({"n": 3, "m": 1, "rows": [3, 3]}, "rows must be a list of lists"),
+        ({"n": 3, "m": 1, "rows": "3,3"}, "rows must be a list of lists"),
+    ):
+        with pytest.raises(MalformedDiagramError, match=f"^{re.escape(message)}$"):
+            from_json_dict(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_hostile_inputs_exit_2(write_diagram, tmp_path, capsys):
@@ -249,6 +272,12 @@ def test_render_to_file(write_diagram, tmp_path, capsys):
     assert main(["render", d, "--path=", "--out", str(tmp_path / "y.svg")]) == 2
     assert "bad path ''" in capsys.readouterr().err
     assert not (tmp_path / "y.svg").exists()
+    # an empty --out names no file, it does not mean stdout
+    for argv in (["certify", d], ["surgery", d, "--slopes", "1/0"], ["export", d],
+                 ["render", d], ["random", "--n", "3", "--m", "3"]):
+        assert main([*argv, "--out="]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write : "), argv
 
 
 def test_random_roundtrip_and_determinism(tmp_path, capsys):

@@ -222,6 +222,10 @@ def test_direct_construction_validates():
         PlatDiagram(0, 1, ())
     with pytest.raises(MalformedDiagramError):
         PlatDiagram(3, 1, ((Twist(3), "bad"),))
+    for bad in (1.5, True):
+        with pytest.raises(MalformedDiagramError,
+                           match=re.escape(f"twist count must be an int, got {bad!r}")):
+            Twist(bad)
 
 
 def _seeded_boxes():

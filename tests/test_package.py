@@ -1,9 +1,12 @@
 """The package namespace: public names load their submodules on first use,
 and a CLI child imports only the modules its subcommand runs."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +16,8 @@ import pytest
 import platsurf
 from platsurf import diagram_to_json, make_diagram
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 HEAVY = ("certificates", "surfaces", "surgery", "topology", "export")
 ALL_THREES = [[3, 3], [3, 3, 3], [3, 3]]
 
@@ -59,7 +63,7 @@ def test_validate_loads_no_certificate_machinery(diagram_file):
 
 def test_every_public_name_is_its_defining_object():
     for name in platsurf.__all__:
-        module = "render" if name == "render" else platsurf._LAZY.get(name, "errors")
+        module = platsurf._LAZY.get(name, "render")
         defined = getattr(importlib.import_module(f"platsurf.{module}"), name)
         assert getattr(platsurf, name) is defined, name
 
@@ -98,3 +102,16 @@ def test_render_is_the_function(first, diagram_file):
         "print(callable(platsurf.render), platsurf.render.__module__)"
     )
     assert out.split() == ["True", "platsurf.render"]
+
+
+def test_readme_python_example_runs():
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)[1]
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(block, namespace)
+    # each line whose comment starts with a value states what it evaluates to
+    stated = re.findall(r"^(\S.*?)\s+# (True|False|\d+)\b", block, re.M)
+    assert [value for _, value in stated] == ["True", "2", "1", "True", "True"]
+    for expr, value in stated:
+        assert repr(eval(expr, namespace)) == value, expr
+    assert '"certified": true' in out.getvalue()

@@ -35,9 +35,9 @@ def test_canonicalization():
 def test_invalid_fractions():
     with pytest.raises(ParameterError):
         TangleFraction(2, 4)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^infinite slope must be written 1/0$"):
         TangleFraction(0, 0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^0/0 is not a slope$"):
         TangleFraction.of(0, 0)
     with pytest.raises(ParameterError):
         TangleFraction(3, -1)
@@ -45,6 +45,8 @@ def test_invalid_fractions():
         TangleFraction(2, 0)
     with pytest.raises(ParameterError):
         TangleFraction.from_continued_fraction([])
+    with pytest.raises(ParameterError, match="^empty continued fraction$"):
+        pairing_by_tracing([])
 
 
 def _all_reduced(limit):
