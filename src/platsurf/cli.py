@@ -4,10 +4,11 @@ Exit codes, uniformly: 0 for a positive verdict (valid, certified,
 exported), 1 for a well-formed refusal (hypotheses fail, certification
 refused, no paths to list), 2 for malformed input or parameters (bad
 JSON, even m, non-allowable --path, wrong slope arity, unreadable input,
-an empty or unwritable --out, over-limit PD exports, and argparse's own
-usage errors), 3 for an internal fault of platsurf itself, reported on
-one stderr line.  A closed stdout, as in ``platsurf paths d.json | head -1``,
-ends the command by SIGPIPE (shell status 141) where the platform has it.
+an empty or unwritable --out, an unwritable stdout, over-limit PD
+exports, and argparse's own usage errors), 3 for an internal fault of
+platsurf itself, reported on one stderr line.  A closed stdout, as in
+``platsurf paths d.json | head -1``, ends the command by SIGPIPE (shell
+status 141) where the platform has it.
 
 Submodules load on first use: each ``cmd_*`` imports what it calls, so
 ``platsurf validate`` never loads the certificate, surface, surgery,
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 
@@ -258,9 +260,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+        return code
     except PlatError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # every file platsurf opens reports its own faults as PlatError
+        print(f"error: cannot write stdout: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # a fault of platsurf itself must not read as a refusal
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
@@ -272,7 +279,14 @@ def entry() -> None:
     # BrokenPipeError, an internal fault; the default action ends the process
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    raise SystemExit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main reported the failed write, whose bytes are still buffered;
+        # the flush at exit would report them again, so it goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,8 @@ twist box.  The hypotheses constrain denominators only; signs are free.
 Everything the hypotheses and the link walk need of a box fits in one
 byte, ``3 * min(q, 3) + code``, where ``code`` is 0, 1 or 2 for the
 through-identity, through-swap and caps pairing (``Pairing`` order).
-``PlatDiagram.slope_table`` holds these bytes, one ``bytes`` per row.
+``PlatDiagram.slope_table`` holds these bytes, one ``bytes`` per row;
+``check_hypotheses`` scans each row once, for inner codes 0-2 (level 0).
 The parse, ``make_diagram``, reads each box once and fills
 ``slope_table`` and ``is_all_twist`` as it goes; a diagram built
 directly computes both on first use.  A diagram keeps its digest, and
@@ -42,6 +43,7 @@ import functools
 import json
 import math
 import random
+import re  # json imports it already
 from typing import Any, Iterator, Sequence, Union
 
 from .errors import MalformedDiagramError, ParameterError
@@ -52,6 +54,7 @@ RELAXED = "relaxed"
 # per hypothesis mode, the least denominator condition (iii) asks of an odd-row end box
 END_BOUND = {STRICT: 3, RELAXED: 2}
 MAX_BOXES = 10**6
+_LEVEL_0 = re.compile(b"[\0-\2]")  # the slope codes of level 0: boxes of denominator 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,23 +318,15 @@ def check_hypotheses(d: PlatDiagram, mode: str = STRICT) -> HypothesisReport:
     """Check conditions (i)-(iii); relaxed mode lowers the end bound to 2."""
     if mode not in END_BOUND:
         raise ParameterError(f"unknown hypothesis mode {mode!r}")
-    end_bound = END_BOUND[mode]
+    floor = 3 * END_BOUND[mode]  # the least slope code of an odd-row end box
 
-    interior_zero = []
-    small_ends = []
+    interior_zero, small_ends = [], []
     for i, (row, codes) in enumerate(zip(d.rows, d.slope_table), 1):
-        # skip a row with no level-0 code inside and no end code below the floor
-        floor = 3 * end_bound if i % 2 == 1 else 0  # odd-row ends need level end_bound
-        if min(codes[1:-1], default=3) >= 3 and min(codes[:1] + codes[-1:], default=floor) >= floor:
-            continue
-        ends = _ends(len(codes))
-        for j, code in enumerate(codes, 1):
-            level = code // 3  # min(denominator, 3)
-            is_end = j in ends
-            if not is_end and level == 0:
-                interior_zero.append((i, j, _box_json(row[j - 1])))
-            if i % 2 == 1 and is_end and level < end_bound:
-                small_ends.append((i, j, _box_json(row[j - 1])))
+        for w in _LEVEL_0.finditer(codes, 1, len(codes) - 1):
+            interior_zero.append((i, w.start() + 1, _box_json(row[w.start()])))
+        if i % 2 and codes:
+            ends = _ends(len(codes))
+            small_ends += [(i, j, _box_json(row[j - 1])) for j in ends if codes[j - 1] < floor]
 
     return HypothesisReport(
         mode=mode,

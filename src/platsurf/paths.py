@@ -38,6 +38,7 @@ from .errors import ParameterError, PathError, TwoBridgeError
 
 
 _TWO_BRIDGE = "a 2-bridge plat (n <= 2) admits no allowable paths"
+MAX_PATHS = 10**6  # the most paths enumerate_allowable builds at once
 
 
 def position(i: int, a: int) -> int:
@@ -198,33 +199,33 @@ def enumerate_allowable(d: PlatDiagram) -> tuple[AllowablePath, ...]:
     """All allowable paths in lexicographic order of their entry vectors.
 
     Empty for n <= 2.  The number of paths grows exponentially in m (see
-    ``count_allowable``); ``iter_allowable`` yields them one at a time.
+    ``count_allowable``), so a shape with more than ``MAX_PATHS`` raises
+    ParameterError before any path is built; ``iter_allowable`` yields
+    them one at a time.
     """
+    if count_allowable(d.n, d.m) > MAX_PATHS:
+        raise ParameterError(
+            f"n = {d.n}, m = {d.m} give more than {MAX_PATHS} allowable paths; "
+            "enumerate_allowable is limited to that, iter_allowable yields them one at a time"
+        )
     return tuple(iter_allowable(d))
 
 
 def count_allowable(n: int, m: int) -> int:
     """Exact number of allowable paths on the (n, m) shape.
 
-    Row-by-row transfer: carry the count of paths ending at each entry
-    value, push each through the two legal steps.  Runs in O(m * n) big
-    integer additions; 0 when n <= 2.
+    Row-by-row transfer: ``odd`` counts the paths reaching each entry
+    1..n-2 of an odd row; each row pair adds neighbours into ``even``
+    (entries 1..n-1), then back.  The list lengths keep every entry in
+    range.  O(m * n) big integer additions; 0 when n <= 2.
     """
     if m < 1 or m % 2 == 0:
         raise ParameterError("m must be odd and positive")
-    if n <= 2:
-        return 0
-    cur = {a: 1 for a in range(1, row_length(n, 1))}
-    for i in range(2, m + 1):
-        hi = row_length(n, i) - 1
-        nxt: dict[int, int] = {}
-        for a, c in cur.items():
-            steps = (a, a + 1) if i % 2 == 0 else (a - 1, a)
-            for b in steps:
-                if 1 <= b <= hi:
-                    nxt[b] = nxt.get(b, 0) + c
-        cur = nxt
-    return sum(cur.values())
+    odd = [1] * (n - 2)
+    for _ in range(m // 2):
+        even = [a + b for a, b in zip([0, *odd], [*odd, 0])]
+        odd = [a + b for a, b in zip(even, even[1:])]
+    return sum(odd)
 
 
 def extremal_paths(d: PlatDiagram) -> tuple[AllowablePath, AllowablePath]:

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes 0 (positive), 1 (refusal), 2 (bad
 input), 3 (internal fault)."""
 
+import errno
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import pytest
 
 from platsurf import (
     MalformedDiagramError,
+    build_topology,
     cli,
     count_allowable,
     diagram_to_json,
@@ -327,6 +329,59 @@ def test_internal_fault_exits_3(write_diagram, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+_ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FullStdout:
+    """A stdout on a full disk: ``write`` or ``flush`` raises ENOSPC."""
+
+    def __init__(self, failing):
+        self.failing = failing
+        self.buffer = self  # render writes its bytes here
+
+    def write(self, data):
+        if self.failing == "write":
+            raise _ENOSPC
+        return len(data)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise _ENOSPC
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_unwritable_stdout_exits_2(write_diagram, capsys, monkeypatch, failing):
+    d = write_diagram(ALL_THREES, 3, 3)
+    slopes = ",".join(["1/1"] * build_topology(make_diagram(3, 3, ALL_THREES)).component_count)
+    monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
+    for argv in (["validate", d], ["paths", d], ["paths", "--count", d], ["info", d],
+                 ["certify", d], ["surgery", d, "--slopes", slopes], ["export", d],
+                 ["render", d], ["random", "--n", "3", "--m", "3"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: cannot write stdout: {_ENOSPC}\n", argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_full_device_on_stdout_exits_2(tmp_path):
+    src = tmp_path / "d.json"
+    src.write_text(diagram_to_json(make_diagram(3, 3, ALL_THREES)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    buffered = {k: v for k, v in env.items() if k != "PYTHONUNBUFFERED"}
+    runs = [(buffered, command) for command in ("validate", "certify", "paths", "render")]
+    runs.append((dict(env, PYTHONUNBUFFERED="1"), "validate"))
+    for child_env, command in runs:
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "platsurf.cli", command, str(src)],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=child_env,
+                timeout=60,
+            )
+        assert proc.returncode == 2, command
+        assert proc.stderr == f"error: cannot write stdout: {_ENOSPC}\n".encode(), command
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")

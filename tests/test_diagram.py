@@ -349,6 +349,16 @@ def test_hypotheses_match_the_per_box_check():
         for d in (parsed, PlatDiagram(n, m, parsed.rows)):
             for mode in (STRICT, RELAXED):
                 assert check_hypotheses(d, mode).to_dict() == per_box_hypotheses(d, mode), (rows, mode)
+    # one row with several interior zeros and both odd ends small: witnesses
+    # come in column order, interior and end lists each
+    d = make_diagram(7, 3, [[2, 0, 5, (1, 0), 0, 1], [3] * 7, [-2, 4, (-1, 0), 3, 0, (1, 2)]])
+    for mode in (STRICT, RELAXED):
+        assert check_hypotheses(d, mode).to_dict() == per_box_hypotheses(d, mode), mode
+    report = check_hypotheses(d).to_dict()["witnesses"]
+    assert report == {
+        "interior_zero": [[1, 2, 0], [1, 4, [1, 0]], [1, 5, 0], [3, 3, [-1, 0]], [3, 5, 0]],
+        "small_ends": [[1, 1, 2], [1, 6, 1], [3, 1, -2], [3, 6, [1, 2]]],
+    }
 
 
 def test_box_count_is_limited_before_any_row_is_built():

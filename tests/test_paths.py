@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -19,7 +20,7 @@ from platsurf import (
     make_diagram,
     random_diagram,
 )
-from platsurf.paths import allowable_entries
+from platsurf.paths import MAX_PATHS, allowable_entries
 from helpers import brute_force_paths, polyline_crossing_count, row_len
 
 
@@ -44,6 +45,28 @@ def test_count_matches_enumeration_and_brute_force():
             enum = [p.entries for p in enumerate_allowable(_shape(n, m))]
             assert enum == sorted(brute)
             assert count_allowable(n, m) == len(brute)
+    for n in (6, 7):
+        for m in (1, 3, 5, 7):
+            assert count_allowable(n, m) == len(brute_force_paths(n, m))
+    for n in (1, 2):
+        assert [count_allowable(n, m) for m in (1, 3, 5, 101)] == [0] * 4
+    # n = 3: one odd entry, two even ones, so each row pair doubles the count
+    for m in range(1, 2002, 2):
+        assert count_allowable(3, m) == 2 ** ((m - 1) // 2)
+    with pytest.raises(ParameterError, match="m must be odd and positive"):
+        count_allowable(4, 4)
+
+
+def test_enumeration_is_limited_before_any_path_is_built():
+    assert count_allowable(20, 21) == 16_043_068 > MAX_PATHS
+    d = random_diagram(20, 21, seed=1)
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match=f"more than {MAX_PATHS} allowable paths"):
+        enumerate_allowable(d)
+    assert time.perf_counter() - start < 0.5
+    assert next(iter_allowable(d)) == extremal_paths(d)[0]  # streaming stays open
+    # the largest shape in use, (15, 15), stays under the limit
+    assert count_allowable(15, 15) == 177_896
 
 
 def test_enumeration_is_lexicographic():

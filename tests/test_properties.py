@@ -5,6 +5,10 @@ them.  Runs are derandomized and keep no example database, so every run
 checks the same examples.
 """
 
+import contextlib
+import io
+import json
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -33,6 +37,7 @@ from platsurf.certificates import (  # noqa: E402
     FOOTNOTE_RATIONAL,
     MODES,
 )
+from platsurf.cli import main  # noqa: E402
 from platsurf.topology import _end_links  # noqa: E402
 from helpers import row_len, sweep_pd_code, union_find_components  # noqa: E402
 
@@ -153,3 +158,82 @@ def test_the_modes_agree_through_one_builder(d):
     assert haken.hypotheses == theorem1.hypotheses
     if d.m >= 3:
         assert haken.refusals[: len(theorem1.refusals)] == theorem1.refusals
+
+
+# values a hostile diagram document may hold where a box, n or m belongs
+HOSTILE = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((10**40, -(10**40), 0, -1, 2, "3", None, {}, [], [1], [1, 2, 3], [True, 1],
+                     [1.5, 2], [0, 0], [2, 4], [10**40, 1], [1, 0], [0, 1], [[1], 2])),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A diagram document in JSON form, spoiled up to three times."""
+    source = st.one_of(twist_diagrams(), twist_diagrams(strict=True), mixed_diagrams())
+    doc = json.loads(diagram_to_json(draw(source)))
+    for _ in range(draw(st.integers(0, 3))):
+        rows = doc.get("rows") if isinstance(doc, dict) else None
+        kind = draw(st.sampled_from(("box", "box", "n", "m", "key", "rows", "row", "whole")))
+        if kind == "box" and isinstance(rows, list) and rows and isinstance(rows[0], list):
+            row = draw(st.sampled_from(rows))
+            if isinstance(row, list) and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(HOSTILE)
+        elif kind in ("n", "m") and isinstance(doc, dict):
+            old = doc.get(kind)
+            shifted = (old - 1, old + 1) if type(old) is int else ()
+            doc[kind] = draw(st.one_of(HOSTILE, st.sampled_from(shifted or (1,))))
+        elif kind == "key" and isinstance(doc, dict):
+            if draw(st.booleans()):
+                doc.pop(draw(st.sampled_from(("n", "m", "rows"))), None)
+            else:
+                doc["extra"] = 1
+        elif kind == "rows" and isinstance(doc, dict):
+            action = draw(st.sampled_from(("drop", "add", "replace")))
+            if action == "drop" and isinstance(rows, list) and rows:
+                rows.pop(draw(st.integers(0, len(rows) - 1)))
+            elif action == "add" and isinstance(rows, list):
+                rows.append(draw(st.sampled_from(([3, 3], [], [3] * 9, "row"))))
+            else:
+                doc["rows"] = draw(HOSTILE)
+        elif kind == "row" and isinstance(rows, list) and rows and isinstance(rows[-1], list):
+            if rows[-1] and draw(st.booleans()):
+                rows[-1].pop()
+            else:
+                rows[-1].append(3)
+        elif kind == "whole":
+            doc = draw(st.sampled_from(([doc], 3, "plat", None, {"rows": doc})))
+    return doc
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(mutated_documents())
+def test_every_command_keeps_the_exit_code_contract(tmp_path_factory, doc):
+    # 0 verdict, 1 refusal, 2 bad input on one stderr line; never 3, an internal fault
+    work = tmp_path_factory.mktemp("fuzz")
+    src, out = str(work / "d.json"), str(work / "out")
+    (work / "d.json").write_text(json.dumps(doc))
+    runs = [
+        ["validate", src], ["validate", "--relaxed", src], ["paths", src],
+        ["paths", "--count", src], ["info", src], ["surgery", src, "--slopes", "1/1"],
+        ["certify", src, "--path", "1,1,1"],
+        *(["certify", src, "--mode", mode] for mode in ("theorem1", "relaxed", "composite")),
+        *(["export", src, "--format", f] for f in ("json", "braid", "pd")),
+        *(["render", src, "--format", f, "--out", out] for f in ("svg", "ascii")),
+    ]
+    if isinstance(doc, dict) and all(type(doc.get(k)) is int for k in "nm"):
+        runs.append(["random", "--n", str(doc["n"]), "--m", str(doc["m"]), "--out", out])
+    for argv in runs:
+        code, err = _run(argv)
+        assert code in (0, 1, 2), (argv, doc, err)
+        if code == 2:
+            assert err.count("\n") == 1 and err.startswith("error: "), (argv, doc, err)
