@@ -38,7 +38,6 @@ it.  A diagram has at most ``MAX_BOXES`` boxes.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -46,6 +45,7 @@ import random
 import re  # json imports it already
 from typing import Any, Iterator, Sequence, Union
 
+from ._record import Record, set_field
 from .errors import MalformedDiagramError, ParameterError
 from .tangles import Pairing, TangleFraction, incompressibility_level, pairing
 
@@ -57,35 +57,35 @@ MAX_BOXES = 10**6
 _LEVEL_0 = re.compile(b"[\0-\2]")  # the slope codes of level 0: boxes of denominator 0
 
 
-@dataclasses.dataclass(frozen=True)
-class Twist:
+class Twist(Record):
     """A box of ``a`` half twists between two adjacent strands."""
 
-    a: int
+    __slots__ = _fields = ("a",)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.a, bool) or not isinstance(self.a, int):
-            raise MalformedDiagramError(f"twist count must be an int, got {self.a!r}")
+    def __init__(self, a: int) -> None:
+        if isinstance(a, bool) or not isinstance(a, int):
+            raise MalformedDiagramError(f"twist count must be an int, got {a!r}")
+        set_field(self, "a", a)
 
     def __str__(self) -> str:
         return str(self.a)
 
 
-@dataclasses.dataclass(frozen=True)
-class Rational:
+class Rational(Record):
     """A box holding the rational tangle of slope p/q."""
 
-    p: int
-    q: int
+    __slots__ = _fields = ("p", "q")
 
-    def __post_init__(self) -> None:
-        for v in (self.p, self.q):
+    def __init__(self, p: int, q: int) -> None:
+        for v in (p, q):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise MalformedDiagramError(f"rational box entries must be ints, got {v!r}")
-        if (self.p, self.q) == (0, 0):
+        if (p, q) == (0, 0):
             raise MalformedDiagramError("rational box 0/0 is not a tangle")
-        if math.gcd(abs(self.p), abs(self.q)) != 1:
-            raise MalformedDiagramError(f"rational box {self.p}/{self.q} is not reduced")
+        if math.gcd(abs(p), abs(q)) != 1:
+            raise MalformedDiagramError(f"rational box {p}/{q} is not reduced")
+        set_field(self, "p", p)
+        set_field(self, "q", q)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -142,30 +142,27 @@ def box_strands(i: int, j: int) -> tuple[int, int]:
     return (2 * j - 1, 2 * j)
 
 
-@dataclasses.dataclass(frozen=True)
-class PlatDiagram:
+class PlatDiagram(Record):
     """A 2n-plat projection: n strand pairs, m rows of boxes, m odd."""
 
-    n: int
-    m: int
-    rows: tuple[tuple[TangleBox, ...], ...]
+    _fields = ("n", "m", "rows")  # no __slots__: derived values live in __dict__
 
-    def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise MalformedDiagramError(f"n must be a positive int, got {self.n!r}")
-        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
-            raise MalformedDiagramError(f"m must be a positive int, got {self.m!r}")
-        if self.m % 2 == 0:
+    def __init__(self, n: int, m: int, rows: tuple[tuple[TangleBox, ...], ...]) -> None:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise MalformedDiagramError(f"n must be a positive int, got {n!r}")
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+            raise MalformedDiagramError(f"m must be a positive int, got {m!r}")
+        if m % 2 == 0:
             raise MalformedDiagramError(
-                f"m = {self.m} is even: a plat needs an odd number of rows "
+                f"m = {m} is even: a plat needs an odd number of rows "
                 "(an even count leaves the bottom caps misaligned)"
             )
-        if len(self.rows) != self.m:
+        if len(rows) != m:
             raise MalformedDiagramError(
-                f"expected {self.m} rows, got {len(self.rows)}"
+                f"expected {m} rows, got {len(rows)}"
             )
-        for i, row in enumerate(self.rows, 1):
-            want = row_length(self.n, i)
+        for i, row in enumerate(rows, 1):
+            want = row_length(n, i)
             if len(row) != want:
                 raise MalformedDiagramError(
                     f"row {i} has {len(row)} boxes, expected {want}"
@@ -173,6 +170,9 @@ class PlatDiagram:
             if not _BOX_TYPES.issuperset(map(type, row)):
                 bad = next(b for b in row if type(b) not in _BOX_TYPES)
                 raise MalformedDiagramError(f"row {i}: bad box {bad!r}")
+        set_field(self, "n", n)
+        set_field(self, "m", m)
+        set_field(self, "rows", rows)
 
     @property
     def strand_count(self) -> int:
@@ -264,8 +264,7 @@ def _ends(length: int) -> tuple[int, ...]:
     return (1,) if length == 1 else (1, length)
 
 
-@dataclasses.dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Record):
     """Verdicts and witnesses for the three hypotheses of a diagram.
 
     ``witness`` triples are (row, column, value) where value is the box's
@@ -274,14 +273,20 @@ class HypothesisReport:
     the right explanation.
     """
 
-    mode: str
-    n: int
-    m: int
-    n_at_least_3: bool
-    interior_nonzero: bool
-    odd_row_ends_ok: bool
-    interior_zero_boxes: tuple[tuple[int, int, Any], ...]
-    small_end_boxes: tuple[tuple[int, int, Any], ...]
+    __slots__ = _fields = ("mode", "n", "m", "n_at_least_3", "interior_nonzero",
+                           "odd_row_ends_ok", "interior_zero_boxes", "small_end_boxes")
+
+    def __init__(self, mode: str, n: int, m: int, n_at_least_3: bool, interior_nonzero: bool,
+                 odd_row_ends_ok: bool, interior_zero_boxes: tuple[tuple[int, int, Any], ...],
+                 small_end_boxes: tuple[tuple[int, int, Any], ...]) -> None:
+        set_field(self, "mode", mode)
+        set_field(self, "n", n)
+        set_field(self, "m", m)
+        set_field(self, "n_at_least_3", n_at_least_3)
+        set_field(self, "interior_nonzero", interior_nonzero)
+        set_field(self, "odd_row_ends_ok", odd_row_ends_ok)
+        set_field(self, "interior_zero_boxes", interior_zero_boxes)
+        set_field(self, "small_end_boxes", small_end_boxes)
 
     @property
     def two_bridge(self) -> bool:

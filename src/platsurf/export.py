@@ -40,8 +40,7 @@ with more than ``MAX_PD_CROSSINGS`` is refused before anything is built.
 
 from __future__ import annotations
 
-import dataclasses
-
+from ._record import Record, set_field
 from .diagram import PlatDiagram, Twist, box_strands
 from .errors import MalformedPDCodeError, ParameterError, UnsupportedBoxError
 from .topology import _cycles, swap_permutation
@@ -52,12 +51,14 @@ MAX_PD_CROSSINGS = 10**6
 # braid words
 
 
-@dataclasses.dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """A word in the braid group on ``strands`` strands, as syllables."""
 
-    strands: int
-    syllables: tuple[tuple[int, int], ...]  # (generator index, signed exponent)
+    __slots__ = _fields = ("strands", "syllables")
+
+    def __init__(self, strands: int, syllables: tuple[tuple[int, int], ...]) -> None:
+        set_field(self, "strands", strands)
+        set_field(self, "syllables", syllables)  # (generator index, signed exponent)
 
     def text(self) -> str:
         return " ".join(f"s{g}^{e}" for g, e in self.syllables)
@@ -95,11 +96,13 @@ _NW, _SW, _SE, _NE = range(4)
 _DIAGONAL, _COLUMN = 2, 3
 
 
-@dataclasses.dataclass(frozen=True)
-class PDCode:
+class PDCode(Record):
     """Planar diagram code: one X(a, b, c, d) tuple per crossing."""
 
-    crossings: tuple[tuple[int, int, int, int], ...]
+    __slots__ = _fields = ("crossings",)
+
+    def __init__(self, crossings: tuple[tuple[int, int, int, int], ...]) -> None:
+        set_field(self, "crossings", crossings)
 
     @property
     def crossing_count(self) -> int:

@@ -30,9 +30,9 @@ oracle and the equivalence is exercised exhaustively in the test suite.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterator, Sequence
 
+from ._record import Record, set_field
 from .diagram import PlatDiagram, row_length
 from .errors import ParameterError, PathError, TwoBridgeError
 
@@ -50,14 +50,13 @@ def corridor_positions(entries: Sequence[int]) -> tuple[int, ...]:
     return tuple(position(i, a) for i, a in enumerate(entries, 1))
 
 
-@dataclasses.dataclass(frozen=True)
-class AllowablePath:
+class AllowablePath(Record):
     """Entry vector (a_1, ..., a_m) of an allowable path."""
 
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: Sequence[int]) -> None:
+        set_field(self, "entries", tuple(entries))
 
     @classmethod
     def for_diagram(cls, d: PlatDiagram, entries: Sequence[int]) -> "AllowablePath":
@@ -76,12 +75,14 @@ class AllowablePath:
         return iter(self.entries)
 
 
-@dataclasses.dataclass(frozen=True)
-class PathCheck:
+class PathCheck(Record):
     """Allowability verdict with the first violation spelled out."""
 
-    ok: bool
-    reason: str | None = None
+    __slots__ = _fields = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: str | None = None) -> None:
+        set_field(self, "ok", ok)
+        set_field(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -200,10 +201,11 @@ def enumerate_allowable(d: PlatDiagram) -> tuple[AllowablePath, ...]:
 
     Empty for n <= 2.  The number of paths grows exponentially in m (see
     ``count_allowable``), so a shape with more than ``MAX_PATHS`` raises
-    ParameterError before any path is built; ``iter_allowable`` yields
-    them one at a time.
+    ParameterError before any path is built, as soon as the rows counted
+    so far pass the limit; ``iter_allowable`` yields them one at a time.
     """
-    if count_allowable(d.n, d.m) > MAX_PATHS:
+    # a row's count never falls below the row above's: every entry has a successor
+    if any(sum(odd) > MAX_PATHS for odd in _odd_row_counts(d.n, d.m)):
         raise ParameterError(
             f"n = {d.n}, m = {d.m} give more than {MAX_PATHS} allowable paths; "
             "enumerate_allowable is limited to that, iter_allowable yields them one at a time"
@@ -211,20 +213,28 @@ def enumerate_allowable(d: PlatDiagram) -> tuple[AllowablePath, ...]:
     return tuple(iter_allowable(d))
 
 
-def count_allowable(n: int, m: int) -> int:
-    """Exact number of allowable paths on the (n, m) shape.
+def _odd_row_counts(n: int, m: int) -> Iterator[list[int]]:
+    """Per odd row, top to bottom, the paths reaching each entry 1..n-2.
 
-    Row-by-row transfer: ``odd`` counts the paths reaching each entry
-    1..n-2 of an odd row; each row pair adds neighbours into ``even``
+    Row-by-row transfer: each row pair adds neighbours into ``even``
     (entries 1..n-1), then back.  The list lengths keep every entry in
-    range.  O(m * n) big integer additions; 0 when n <= 2.
+    range; the lists are empty when n <= 2.
     """
-    if m < 1 or m % 2 == 0:
-        raise ParameterError("m must be odd and positive")
     odd = [1] * (n - 2)
+    yield odd
     for _ in range(m // 2):
         even = [a + b for a, b in zip([0, *odd], [*odd, 0])]
         odd = [a + b for a, b in zip(even, even[1:])]
+        yield odd
+
+
+def count_allowable(n: int, m: int) -> int:
+    """Exact number of allowable paths on the (n, m) shape, 0 when n <= 2:
+    the sum over the last odd row of ``_odd_row_counts``, O(m * n) big integer additions."""
+    if m < 1 or m % 2 == 0:
+        raise ParameterError("m must be odd and positive")
+    for odd in _odd_row_counts(n, m):
+        pass
     return sum(odd)
 
 

@@ -30,9 +30,9 @@ compare the two routes.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Literal, Sequence
 
+from ._record import Record, set_field
 from .diagram import PlatDiagram
 from .errors import PathError
 from .paths import AllowablePath, allowable_entries
@@ -43,8 +43,7 @@ TUBED_LEFT = "tubed_left"
 TUBED_RIGHT = "tubed_right"
 
 
-@dataclasses.dataclass(frozen=True)
-class SideSummary:
+class SideSummary(Record):
     """One side of a separating sphere.
 
     ``spans`` holds, per row top to bottom, the range of box columns on
@@ -52,9 +51,13 @@ class SideSummary:
     entirely on this side (closed loops the sphere never touches).
     """
 
-    side: Literal["left", "right"]
-    spans: tuple[range, ...]
-    loop_components: tuple[int, ...]
+    __slots__ = _fields = ("side", "spans", "loop_components")
+
+    def __init__(self, side: Literal["left", "right"], spans: tuple[range, ...],
+                 loop_components: tuple[int, ...]) -> None:
+        set_field(self, "side", side)
+        set_field(self, "spans", spans)
+        set_field(self, "loop_components", loop_components)
 
     @property
     def boxes(self) -> frozenset[tuple[int, int]]:
@@ -71,15 +74,18 @@ class SideSummary:
         return len(self.loop_components)
 
 
-@dataclasses.dataclass(frozen=True)
-class SphereDecomposition:
+class SphereDecomposition(Record):
     """A diagram cut along the sphere of one allowable path."""
 
-    diagram: PlatDiagram
-    path: AllowablePath
-    crossing: tuple[int, ...]  # component id per crossed piece, top to bottom
-    left: SideSummary
-    right: SideSummary
+    __slots__ = _fields = ("diagram", "path", "crossing", "left", "right")
+
+    def __init__(self, diagram: PlatDiagram, path: AllowablePath, crossing: tuple[int, ...],
+                 left: SideSummary, right: SideSummary) -> None:
+        set_field(self, "diagram", diagram)
+        set_field(self, "path", path)
+        set_field(self, "crossing", crossing)  # component id per crossed piece, top to bottom
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
     @property
     def m(self) -> int:
@@ -109,16 +115,19 @@ def decompose(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> SphereDeco
     return SphereDecomposition(d, AllowablePath(entries), crossing, left, right)
 
 
-@dataclasses.dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(Record):
     """Invariants of one of the three surfaces along a path."""
 
-    kind: str  # PLANAR, TUBED_LEFT or TUBED_RIGHT
-    euler: int
-    genus: int
-    boundary: int
-    closed: bool
-    extra_tori: int | None = None  # separate torus pieces; tubed kinds only
+    __slots__ = _fields = ("kind", "euler", "genus", "boundary", "closed", "extra_tori")
+
+    def __init__(self, kind: str, euler: int, genus: int, boundary: int, closed: bool,
+                 extra_tori: int | None = None) -> None:
+        set_field(self, "kind", kind)  # PLANAR, TUBED_LEFT or TUBED_RIGHT
+        set_field(self, "euler", euler)
+        set_field(self, "genus", genus)
+        set_field(self, "boundary", boundary)
+        set_field(self, "closed", closed)
+        set_field(self, "extra_tori", extra_tori)  # separate torus pieces; tubed kinds only
 
     def to_dict(self) -> dict:
         out = {

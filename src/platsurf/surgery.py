@@ -26,9 +26,9 @@ two slope refusals and the four records.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
+from ._record import Record, set_field
 from .certificates import MODE_SURGERY, Certificate, certificate_json
 from .diagram import PlatDiagram, Twist
 from .errors import ParameterError, TwoBridgeError
@@ -53,12 +53,14 @@ def parse_slopes(text: str) -> tuple[Slope, ...]:
     return tuple(map(Slope.parse, items))
 
 
-@dataclasses.dataclass(frozen=True)
-class NontrivialityCheck:
+class NontrivialityCheck(Record):
     """Whether a slope tuple avoids every meridian; offenders by id."""
 
-    ok: bool
-    offenders: tuple[int, ...]
+    __slots__ = _fields = ("ok", "offenders")
+
+    def __init__(self, ok: bool, offenders: tuple[int, ...]) -> None:
+        set_field(self, "ok", ok)
+        set_field(self, "offenders", offenders)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -72,8 +74,7 @@ def is_totally_nontrivial(slopes: Sequence[Slope]) -> NontrivialityCheck:
     return NontrivialityCheck(not offenders, offenders)
 
 
-@dataclasses.dataclass(frozen=True)
-class ParityCheck:
+class ParityCheck(Record):
     """The odd-twist reading of the coverage condition.
 
     ``value`` is None when an odd-row end box is rational: the reading
@@ -81,10 +82,14 @@ class ParityCheck:
     It is None as well for n = 1, where odd rows hold no boxes at all.
     """
 
-    value: bool | None
-    first_odd_row: int | None
-    last_odd_row: int | None
-    note: str | None = None
+    __slots__ = _fields = ("value", "first_odd_row", "last_odd_row", "note")
+
+    def __init__(self, value: bool | None, first_odd_row: int | None,
+                 last_odd_row: int | None, note: str | None = None) -> None:
+        set_field(self, "value", value)
+        set_field(self, "first_odd_row", first_odd_row)
+        set_field(self, "last_odd_row", last_odd_row)
+        set_field(self, "note", note)
 
     def to_dict(self) -> dict:
         return {
@@ -116,12 +121,14 @@ def parity_criterion(d: PlatDiagram) -> ParityCheck:
     return ParityCheck(first is not None and last is not None, first, last)
 
 
-@dataclasses.dataclass(frozen=True)
-class CoverageCheck:
+class CoverageCheck(Record):
     """Whether every component meets some allowable sphere."""
 
-    ok: bool
-    uncovered: tuple[int, ...]
+    __slots__ = _fields = ("ok", "uncovered")
+
+    def __init__(self, ok: bool, uncovered: tuple[int, ...]) -> None:
+        set_field(self, "ok", ok)
+        set_field(self, "uncovered", uncovered)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -145,14 +152,22 @@ def direct_coverage_check(d: PlatDiagram) -> CoverageCheck:
     return CoverageCheck(not uncovered, tuple(sorted(uncovered)))
 
 
-@dataclasses.dataclass(frozen=True)
 class HakenCertificate(Certificate):
     """Surgery certificate: hypotheses plus slope conditions, by citation."""
 
-    slopes: tuple[Slope, ...]
-    totally_nontrivial: NontrivialityCheck
-    coverage: CoverageCheck | None
-    parity: ParityCheck
+    __slots__ = ("slopes", "totally_nontrivial", "coverage", "parity")
+    _fields = Certificate._fields + __slots__
+
+    def __init__(self, mode, digest, certified, hypotheses, path, surfaces, conclusions,
+                 refusals, footnotes, slopes: tuple[Slope, ...],
+                 totally_nontrivial: NontrivialityCheck, coverage: CoverageCheck | None,
+                 parity: ParityCheck) -> None:
+        super().__init__(mode, digest, certified, hypotheses, path, surfaces, conclusions,
+                         refusals, footnotes)
+        set_field(self, "slopes", slopes)
+        set_field(self, "totally_nontrivial", totally_nontrivial)
+        set_field(self, "coverage", coverage)
+        set_field(self, "parity", parity)
 
     def _surgery_records(self) -> dict:
         return {

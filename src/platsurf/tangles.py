@@ -24,32 +24,32 @@ way around.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from typing import Iterable
 
+from ._record import Record, set_field
 from .errors import ParameterError
 
 
-@dataclasses.dataclass(frozen=True)
-class TangleFraction:
+class TangleFraction(Record):
     """A reduced slope p/q with q >= 0; 1/0 denotes the vertical tangle.
 
     The same type is the surgery slope of ``surgery``, where 1/0 is the
     meridian.
     """
 
-    p: int
-    q: int
+    __slots__ = _fields = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.q < 0:
-            raise ParameterError(f"fraction {self.p}/{self.q} not canonical: q < 0")
-        if self.q == 0 and self.p != 1:
+    def __init__(self, p: int, q: int) -> None:
+        if q < 0:
+            raise ParameterError(f"fraction {p}/{q} not canonical: q < 0")
+        if q == 0 and p != 1:
             raise ParameterError("infinite slope must be written 1/0")
-        if math.gcd(abs(self.p), self.q) != 1:
-            raise ParameterError(f"fraction {self.p}/{self.q} is not reduced")
+        if math.gcd(abs(p), q) != 1:
+            raise ParameterError(f"fraction {p}/{q} is not reduced")
+        set_field(self, "p", p)
+        set_field(self, "q", q)
 
     @classmethod
     def of(cls, p: int, q: int) -> "TangleFraction":

@@ -64,7 +64,6 @@ segment decides which.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .diagram import CAPS, SWAP, PlatDiagram, box_strands
@@ -150,13 +149,16 @@ def _connector(d: PlatDiagram, e: int) -> Connector:
     return ("box", i, x // 2)
 
 
-@dataclasses.dataclass(eq=False)
 class LinkTopology:
     """Link components of a diagram, with canonical integer ids."""
 
-    diagram: PlatDiagram
-    _label: list[int] = dataclasses.field(repr=False)  # by segment index
-    _starts: list[int] = dataclasses.field(repr=False)  # by component id
+    def __init__(self, diagram: PlatDiagram, _label: list[int], _starts: list[int]) -> None:
+        self.diagram = diagram
+        self._label = _label  # by segment index
+        self._starts = _starts  # by component id
+
+    def __repr__(self) -> str:
+        return f"LinkTopology(diagram={self.diagram!r})"
 
     @property
     def n(self) -> int:

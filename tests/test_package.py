@@ -61,6 +61,20 @@ def test_validate_loads_no_certificate_machinery(diagram_file):
     assert not {f"platsurf.{m}" for m in HEAVY} & set(loaded)
 
 
+def test_no_subcommand_loads_the_record_machinery(diagram_file):
+    out = child(
+        "import contextlib, io, sys; from platsurf import cli\n"
+        f"F = {diagram_file!r}\n"
+        "for argv in (['validate', F], ['paths', F], ['certify', F], ['info', F],\n"
+        "             ['surgery', F, '--slopes', '3/1'], ['export', F, '--format', 'pd'],\n"
+        "             ['render', F, '--out', F + '.svg'], ['random', '--n', '3', '--m', '3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    assert out.split() == ["[]"]
+
+
 def test_every_public_name_is_its_defining_object():
     for name in platsurf.__all__:
         module = platsurf._LAZY.get(name, "render")

@@ -10,7 +10,9 @@ from platsurf import (
     AllowablePath,
     ParameterError,
     PathError,
+    PlatDiagram,
     TwoBridgeError,
+    Twist,
     check_allowable,
     count_allowable,
     crossing_count,
@@ -67,6 +69,16 @@ def test_enumeration_is_limited_before_any_path_is_built():
     assert next(iter_allowable(d)) == extremal_paths(d)[0]  # streaming stays open
     # the largest shape in use, (15, 15), stays under the limit
     assert count_allowable(15, 15) == 177_896
+
+
+def test_enumeration_refuses_without_counting_every_row():
+    m = 399_999  # n = 3: the last box count under MAX_BOXES, 2 ** 199_999 paths
+    odd, even = (Twist(3),) * 2, (Twist(3),) * 3
+    d = PlatDiagram(3, m, tuple(odd if i % 2 else even for i in range(1, m + 1)))
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match=f"more than {MAX_PATHS} allowable paths"):
+        enumerate_allowable(d)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_enumeration_is_lexicographic():

@@ -1,0 +1,138 @@
+"""The value records: repr, equality, hashing, immutability and copying.
+
+One instance of every record type is built by keyword from its fields,
+in field order, and checked against the behaviour callers rely on.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from platsurf import (
+    AllowablePath,
+    BraidWord,
+    Certificate,
+    HakenCertificate,
+    PDCode,
+    PlatDiagram,
+    Rational,
+    SphereDecomposition,
+    SurfaceReport,
+    TangleFraction,
+    Twist,
+    build_topology,
+)
+from platsurf.certificates import Conclusion
+from platsurf.diagram import HypothesisReport
+from platsurf.paths import PathCheck
+from platsurf.surfaces import SideSummary
+from platsurf.surgery import CoverageCheck, NontrivialityCheck, ParityCheck
+
+D = PlatDiagram(3, 1, ((Twist(3), Twist(-3)),))
+D_REPR = "PlatDiagram(n=3, m=1, rows=((Twist(a=3), Twist(a=-3)),))"
+HYP = HypothesisReport("strict", 3, 1, True, True, False, (), ((1, 2, -2),))
+HYP_REPR = (
+    "HypothesisReport(mode='strict', n=3, m=1, n_at_least_3=True, interior_nonzero=True, "
+    "odd_row_ends_ok=False, interior_zero_boxes=(), small_end_boxes=((1, 2, -2),))"
+)
+LEFT = SideSummary("left", (range(1, 2),), ())
+LEFT_REPR = "SideSummary(side='left', spans=(range(1, 2),), loop_components=())"
+RIGHT = SideSummary("right", (range(2, 3),), (0,))
+RIGHT_REPR = "SideSummary(side='right', spans=(range(2, 3),), loop_components=(0,))"
+CERT = dict(
+    mode="theorem1", digest="ab", certified=False, hypotheses=HYP, path=None,
+    surfaces=(), conclusions=(), refusals=("no",), footnotes=("note",),
+)
+CERT_REPR = (
+    f"mode='theorem1', digest='ab', certified=False, hypotheses={HYP_REPR}, path=None, "
+    "surfaces=(), conclusions=(), refusals=('no',), footnotes=('note',)"
+)
+PARITY = ParityCheck(True, 1, 1)
+PARITY_REPR = "ParityCheck(value=True, first_odd_row=1, last_odd_row=1, note=None)"
+NONTRIVIAL = NontrivialityCheck(True, ())
+NONTRIVIAL_REPR = "NontrivialityCheck(ok=True, offenders=())"
+
+# (type, fields by keyword, another value of the same type, exact repr)
+RECORDS = [
+    (Twist, dict(a=3), Twist(-3), "Twist(a=3)"),
+    (Rational, dict(p=1, q=3), Rational(3, 1), "Rational(p=1, q=3)"),
+    (PlatDiagram, dict(n=3, m=1, rows=D.rows), D.reflected(), D_REPR),
+    (HypothesisReport, dict(
+        mode="strict", n=3, m=1, n_at_least_3=True, interior_nonzero=True,
+        odd_row_ends_ok=False, interior_zero_boxes=(), small_end_boxes=((1, 2, -2),),
+    ), HypothesisReport("relaxed", 3, 1, True, True, False, (), ((1, 2, -2),)), HYP_REPR),
+    (TangleFraction, dict(p=3, q=1), TangleFraction(1, 3), "TangleFraction(p=3, q=1)"),
+    (AllowablePath, dict(entries=(1, 1, 1)), AllowablePath((1, 2, 1)),
+     "AllowablePath(entries=(1, 1, 1))"),
+    (PathCheck, dict(ok=False, reason="x"), PathCheck(False), "PathCheck(ok=False, reason='x')"),
+    (SideSummary, dict(side="left", spans=(range(1, 2),), loop_components=()), RIGHT, LEFT_REPR),
+    (SphereDecomposition, dict(
+        diagram=D, path=AllowablePath((1,)), crossing=(0, 0), left=LEFT, right=RIGHT,
+    ), SphereDecomposition(D, AllowablePath((1,)), (0, 1), LEFT, RIGHT),
+     f"SphereDecomposition(diagram={D_REPR}, path=AllowablePath(entries=(1,)), "
+     f"crossing=(0, 0), left={LEFT_REPR}, right={RIGHT_REPR})"),
+    (SurfaceReport, dict(kind="planar", euler=0, genus=0, boundary=2, closed=False, extra_tori=None),
+     SurfaceReport("tubed_left", 0, 1, 0, True, 0),
+     "SurfaceReport(kind='planar', euler=0, genus=0, boundary=2, closed=False, extra_tori=None)"),
+    (Conclusion, dict(statement="s", cite="Remark 1"), Conclusion("s", "Remark 3"),
+     "Conclusion(statement='s', cite='Remark 1')"),
+    (Certificate, CERT, Certificate(**dict(CERT, certified=True)), f"Certificate({CERT_REPR})"),
+    (NontrivialityCheck, dict(ok=True, offenders=()), NontrivialityCheck(False, (0,)),
+     NONTRIVIAL_REPR),
+    (ParityCheck, dict(value=True, first_odd_row=1, last_odd_row=1, note=None),
+     ParityCheck(None, None, None, "undefined"), PARITY_REPR),
+    (CoverageCheck, dict(ok=True, uncovered=()), CoverageCheck(False, (1,)),
+     "CoverageCheck(ok=True, uncovered=())"),
+    (HakenCertificate, dict(
+        CERT, slopes=(TangleFraction(3, 1),), totally_nontrivial=NONTRIVIAL, coverage=None,
+        parity=PARITY,
+    ), HakenCertificate(**CERT, slopes=(), totally_nontrivial=NONTRIVIAL, coverage=None,
+                        parity=PARITY),
+     f"HakenCertificate({CERT_REPR}, slopes=(TangleFraction(p=3, q=1),), "
+     f"totally_nontrivial={NONTRIVIAL_REPR}, coverage=None, parity={PARITY_REPR})"),
+    (BraidWord, dict(strands=6, syllables=((2, 3),)), BraidWord(6, ((2, -3),)),
+     "BraidWord(strands=6, syllables=((2, 3),))"),
+    (PDCode, dict(crossings=((1, 2, 3, 4),)), PDCode(((4, 1, 2, 3),)),
+     "PDCode(crossings=((1, 2, 3, 4),))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, other, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_behaviour(cls, fields, other, text):
+    x = cls(**fields)
+    assert repr(x) == text
+    assert x == cls(*fields.values()) and not x != cls(**fields)
+    assert x != other and type(other) is cls
+    assert hash(x) == hash(tuple(fields.values())) == hash(cls(**fields))
+    for name, value in fields.items():
+        assert getattr(x, name) is value or getattr(x, name) == value
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == pickle.loads(pickle.dumps(x)) == copy.copy(x) == copy.deepcopy(x)
+
+
+def test_defaults():
+    assert PathCheck(True).reason is None
+    assert SurfaceReport("planar", 0, 0, 2, False).extra_tori is None
+    assert ParityCheck(None, None, None).note is None
+
+
+def test_equality_needs_the_same_type():
+    haken = HakenCertificate(
+        **CERT, slopes=(), totally_nontrivial=NONTRIVIAL, coverage=None, parity=PARITY
+    )
+    assert isinstance(haken, Certificate)
+    assert Certificate(**CERT) != haken and haken != Certificate(**CERT)
+    assert Twist(1) != TangleFraction(1, 1) and Twist(3) != 3
+    assert D != D.reflected() and D.reflected().reflected() == D
+
+
+def test_link_topology_is_mutable_and_compared_by_identity():
+    t = build_topology(D)
+    assert repr(t) == f"LinkTopology(diagram={D_REPR})"
+    assert t == t and t != build_topology(D) and len({t, build_topology(D)}) == 2
+    t.diagram = D.reflected()
+    assert t.diagram == D.reflected()
