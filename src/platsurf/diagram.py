@@ -27,11 +27,12 @@ twist box.  The hypotheses constrain denominators only; signs are free.
 Everything the hypotheses and the link walk need of a box fits in one
 byte, ``3 * min(q, 3) + code``, where ``code`` is 0, 1 or 2 for the
 through-identity, through-swap and caps pairing (``Pairing`` order).
-``PlatDiagram.slope_table`` holds these bytes, one ``bytes`` per row;
+A box computes its byte once, when built, from its slope p/q (1/a for
+a twist box); ``PlatDiagram`` gathers them into ``slope_table``, one
+``bytes`` per row, and sets ``is_all_twist`` as it checks the box types.
 ``check_hypotheses`` scans each row once, for inner codes 0-2 (level 0).
-The parse, ``make_diagram``, reads each box once and fills
-``slope_table`` and ``is_all_twist`` as it goes; a diagram built
-directly computes both on first use.  A diagram keeps its digest, and
+``tangles`` loads only where slopes are wanted as fractions, in
+``box_fraction`` and ``surgery``.  A diagram keeps its digest, and
 ``topology.build_topology`` keeps the labels of its link components on
 it.  A diagram has at most ``MAX_BOXES`` boxes.
 """
@@ -41,13 +42,16 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import random
 import re  # json imports it already
-from typing import Any, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterator, Sequence, Union
 
 from ._record import Record, set_field
 from .errors import MalformedDiagramError, ParameterError
-from .tangles import Pairing, TangleFraction, incompressibility_level, pairing
+
+if TYPE_CHECKING:
+    from .tangles import TangleFraction
 
 STRICT = "strict"
 RELAXED = "relaxed"
@@ -56,16 +60,27 @@ END_BOUND = {STRICT: 3, RELAXED: 2}
 MAX_BOXES = 10**6
 _LEVEL_0 = re.compile(b"[\0-\2]")  # the slope codes of level 0: boxes of denominator 0
 
+# pairing codes of the slope table, in the order tangles.Pairing lists them
+IDENTITY, SWAP, CAPS = range(3)
+
+
+def _slope_code(p: int, q: int) -> int:
+    """``3 * min(|q|, 3) + pairing code`` of the reduced slope p/q: p and q
+    odd swap the strands, p odd and q even pass through, p even caps off."""
+    return 3 * min(abs(q), 3) + (q & 1 if p & 1 else CAPS)
+
 
 class Twist(Record):
     """A box of ``a`` half twists between two adjacent strands."""
 
-    __slots__ = _fields = ("a",)
+    _fields = ("a",)
+    __slots__ = ("a", "_code")  # the slope code is no field: repr, ==, hash, copies skip it
 
     def __init__(self, a: int) -> None:
         if isinstance(a, bool) or not isinstance(a, int):
             raise MalformedDiagramError(f"twist count must be an int, got {a!r}")
         set_field(self, "a", a)
+        set_field(self, "_code", _slope_code(1, a))
 
     def __str__(self) -> str:
         return str(self.a)
@@ -74,7 +89,8 @@ class Twist(Record):
 class Rational(Record):
     """A box holding the rational tangle of slope p/q."""
 
-    __slots__ = _fields = ("p", "q")
+    _fields = ("p", "q")
+    __slots__ = ("p", "q", "_code")
 
     def __init__(self, p: int, q: int) -> None:
         for v in (p, q):
@@ -86,6 +102,7 @@ class Rational(Record):
             raise MalformedDiagramError(f"rational box {p}/{q} is not reduced")
         set_field(self, "p", p)
         set_field(self, "q", q)
+        set_field(self, "_code", _slope_code(p, q))
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -93,10 +110,13 @@ class Rational(Record):
 
 TangleBox = Union[Twist, Rational]
 _BOX_TYPES = frozenset((Twist, Rational))
+_code_of = operator.attrgetter("_code")
 
 
 def box_fraction(box: TangleBox) -> TangleFraction:
     """Canonical slope of a box: Twist(a) -> 1/a, Rational(p, q) -> p/q."""
+    from .tangles import TangleFraction
+
     if isinstance(box, Twist):
         return TangleFraction.of(1, box.a)
     return TangleFraction.of(box.p, box.q)
@@ -104,24 +124,7 @@ def box_fraction(box: TangleBox) -> TangleFraction:
 
 def box_denominator(box: TangleBox) -> int:
     """q >= 0 of the canonical slope; |a| for a twist box."""
-    return box_fraction(box).q
-
-
-# pairing codes of the slope table, in the order Pairing lists them
-IDENTITY, SWAP, CAPS = range(3)
-_PAIRING_CODE = {kind: code for code, kind in enumerate(Pairing)}
-
-
-def _slope_code(box: TangleBox) -> int:
-    """``3 * incompressibility_level + pairing code`` of a box's slope.
-
-    A twist box a has slope 1/a: level min(|a|, 3), and it swaps its
-    strands exactly when a is odd.
-    """
-    if isinstance(box, Twist):
-        return 3 * min(abs(box.a), 3) + (box.a & 1)
-    f = box_fraction(box)
-    return 3 * incompressibility_level(f) + _PAIRING_CODE[pairing(f)]
+    return abs(box.a) if isinstance(box, Twist) else abs(box.q)
 
 
 def row_length(n: int, i: int) -> int:
@@ -161,18 +164,24 @@ class PlatDiagram(Record):
             raise MalformedDiagramError(
                 f"expected {m} rows, got {len(rows)}"
             )
+        kinds: set[type] = set()
+        table = []
         for i, row in enumerate(rows, 1):
             want = row_length(n, i)
             if len(row) != want:
                 raise MalformedDiagramError(
                     f"row {i} has {len(row)} boxes, expected {want}"
                 )
-            if not _BOX_TYPES.issuperset(map(type, row)):
+            kinds.update(map(type, row))
+            if not _BOX_TYPES.issuperset(kinds):
                 bad = next(b for b in row if type(b) not in _BOX_TYPES)
                 raise MalformedDiagramError(f"row {i}: bad box {bad!r}")
+            table.append(bytes(map(_code_of, row)))
         set_field(self, "n", n)
         set_field(self, "m", m)
         set_field(self, "rows", rows)
+        set_field(self, "slope_table", tuple(table))
+        set_field(self, "is_all_twist", Rational not in kinds)
 
     @property
     def strand_count(self) -> int:
@@ -190,14 +199,10 @@ class PlatDiagram(Record):
             for j, box in enumerate(row, 1):
                 yield i, j, box
 
-    # The fields are frozen, so values derived from them are computed on
-    # first use and kept in the instance __dict__, the component labels of
-    # build_topology among them; equality and hashing read the fields alone.
-
-    @functools.cached_property
-    def slope_table(self) -> tuple[bytes, ...]:
-        """Per row, the ``_slope_code`` of each box, left to right."""
-        return tuple(bytes(_slope_code(b) for b in row) for row in self.rows)
+    # The fields are frozen, so values derived from them live in the instance
+    # __dict__: the slope table and all-twist flag from __init__, the digest
+    # and build_topology's component labels from first use.  Equality and
+    # hashing read the fields alone.
 
     @functools.cached_property
     def digest(self) -> str:
@@ -205,10 +210,6 @@ class PlatDiagram(Record):
         import hashlib  # only certificates read the digest: kept off the import path
 
         return hashlib.sha256(canonical_diagram_bytes(self)).hexdigest()
-
-    @functools.cached_property
-    def is_all_twist(self) -> bool:
-        return all(isinstance(b, Twist) for _, _, b in self.boxes())
 
     @property
     def twist_crossing_count(self) -> int:
@@ -222,37 +223,28 @@ class PlatDiagram(Record):
 
 def make_diagram(n: int, m: int, rows: Sequence[Sequence[Any]]) -> PlatDiagram:
     """Build a diagram, coercing ints to shared Twists and (p, q) pairs to
-    Rational, in one pass per box that also fills the slope table."""
+    Rational."""
     if isinstance(n, int) and isinstance(m, int):
         _check_box_count(n, m, MalformedDiagramError)
-    twists: dict[int, tuple[Twist, int]] = {}  # a -> (Twist(a), its slope code)
-    built, table = [], []
-    all_twist = True
+    twists: dict[int, Twist] = {}
+    built = []
     for row in rows:
-        boxes, codes = [], bytearray()
+        boxes = []
         for box in row:
             if type(box) is int:  # True and 1.0 equal 1 as keys, so test the type first
-                entry = twists.get(box)
-                if entry is None:
-                    twist = Twist(box)
-                    entry = twists[box] = twist, _slope_code(twist)
-                box, code = entry
-            else:
-                if isinstance(box, int) and not isinstance(box, bool):
-                    box = Twist(box)
-                elif isinstance(box, (list, tuple)) and len(box) == 2:
-                    box = Rational(box[0], box[1])
-                elif not isinstance(box, (Twist, Rational)):
-                    raise MalformedDiagramError(f"bad box value {box!r}")
-                code = _slope_code(box)
-                all_twist = all_twist and not isinstance(box, Rational)
+                twist = twists.get(box)
+                if twist is None:
+                    twist = twists[box] = Twist(box)
+                box = twist
+            elif isinstance(box, int) and not isinstance(box, bool):
+                box = Twist(box)
+            elif isinstance(box, (list, tuple)) and len(box) == 2:
+                box = Rational(box[0], box[1])
+            elif not isinstance(box, (Twist, Rational)):
+                raise MalformedDiagramError(f"bad box value {box!r}")
             boxes.append(box)
-            codes.append(code)
         built.append(tuple(boxes))
-        table.append(bytes(codes))
-    d = PlatDiagram(n, m, tuple(built))
-    d.__dict__.update(slope_table=tuple(table), is_all_twist=all_twist)
-    return d
+    return PlatDiagram(n, m, tuple(built))
 
 
 # ---------------------------------------------------------------------------

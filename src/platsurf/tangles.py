@@ -19,7 +19,10 @@ Which of the three pairings occurs depends only on the parities of p and
 q; ``pairing`` applies that parity table and ``pairing_by_tracing``
 recomputes the same answer by explicitly building the tangle one half
 twist at a time.  The table is frozen against the trace, not the other
-way around.
+way around.  The order of ``Pairing`` gives each pairing its code 0, 1
+or 2 in a box's slope byte, which ``diagram`` computes from the same
+parities without this module; the test suite checks every byte against
+``pairing``, ``pairing_by_tracing`` and ``incompressibility_level``.
 """
 
 from __future__ import annotations

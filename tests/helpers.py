@@ -6,9 +6,10 @@ generic segment intersection instead of the closed-form crossing count,
 a permutation pairing graph and union-find on segments instead of the
 walk over segment ends, a run-counting walk along each component
 instead of side thresholds, and a top-to-bottom sweep of arc labels
-instead of the component walk for PD codes, and a loop over every box
+instead of the component walk for PD codes, a loop over every box
 reading its denominator instead of the row scan of the slope table for
-the hypotheses.
+the hypotheses, and the Kauffman bracket of a PD code checked against a
+Temperley-Lieb sweep of the plat itself.
 """
 
 from __future__ import annotations
@@ -423,6 +424,126 @@ def sweep_pd_code(d: PlatDiagram) -> PDCode:
     code = PDCode(tuple(quads))
     pd_validate(code)
     return code
+
+
+# ---------------------------------------------------------------------------
+# the Kauffman bracket two ways: a state sum over the smoothings of a PD
+# code, and a Temperley-Lieb sweep down the plat.  Neither reads the
+# component walk of topology or the port bookkeeping of export.  A Laurent
+# polynomial in A is a dict {exponent: coefficient} without zero terms, and
+# every loop of a state counts delta = -A^2 - A^-2.
+
+DELTA = {2: -1, -2: -1}
+
+
+def laurent(terms) -> dict[int, int]:
+    """Sum (exponent, coefficient) terms into a Laurent polynomial."""
+    out: dict[int, int] = {}
+    for e, c in terms:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in sorted(out.items()) if c}
+
+
+def laurent_mul(*factors: dict[int, int]) -> dict[int, int]:
+    out = {0: 1}
+    for f in factors:
+        out = laurent((e + g, c * k) for e, c in out.items() for g, k in f.items())
+    return out
+
+
+def delta_power(k: int) -> dict[int, int]:
+    return laurent_mul(*[DELTA] * k)
+
+
+def mirror(f: dict[int, int]) -> dict[int, int]:
+    """A -> A^-1: the bracket of the mirror image."""
+    return laurent((-e, c) for e, c in f.items())
+
+
+def bracket_from_pd(code: PDCode, free_loops: int = 0) -> dict[int, int]:
+    """The state sum over the 2^C smoothings of a PD code.
+
+    ``a`` of X(a, b, c, d) enters on the under-strand and b, c, d follow
+    counterclockwise (FORMATS.md).  Turning the over-strand b-d
+    counterclockwise sweeps the corner between b and c and the one
+    between d and a; the A-smoothing opens those two corners into one
+    region, so it joins a-b and c-d, and the B-smoothing joins a-d and
+    b-c.  A state of i A-smoothings, j B-smoothings and l loops adds
+    A^(i - j) delta^l.  The code omits the components that meet no
+    crossing; ``free_loops`` of them come back as one delta each.
+    """
+    crossings = code.crossings
+    tally: dict[tuple[int, int], int] = {}  # (i - j, loops) -> states
+
+    def visit(k: int, ends: list[int], balance: int, loops: int) -> None:
+        # ends[x] is the far end of the chain of joined arcs that ends in arc x
+        if k == len(crossings):
+            tally[balance, loops] = tally.get((balance, loops), 0) + 1
+            return
+        a, b, c, d = crossings[k]
+        for step, pairs in ((1, ((a, b), (c, d))), (-1, ((a, d), (b, c)))):
+            joined, closed = ends[:], loops
+            for u, v in pairs:
+                far_u, far_v = joined[u], joined[v]
+                if far_u == v:  # u and v end one chain: joining them closes a loop
+                    closed += 1
+                else:
+                    joined[far_u], joined[far_v] = far_v, far_u
+            visit(k + 1, joined, balance + step, closed)
+
+    visit(0, list(range(2 * len(crossings) + 1)), 0, free_loops)
+    return laurent(t for (balance, loops), count in tally.items()
+                   for t in laurent_mul({balance: count}, delta_power(loops)).items())
+
+
+def bracket_from_plat(d: PlatDiagram) -> dict[int, int]:
+    """The bracket by a Temperley-Lieb sweep down an all-twist plat.
+
+    The state maps each crossingless matching of the 2n strand ends at the
+    current height (``mate[x]``: the end joined to x above) to its
+    polynomial, starting from the top caps.  In a positive twist the
+    strand running northwest to southeast passes under (FORMATS.md), so a
+    crossing's A-smoothing joins each upper end to the lower end below
+    it: a positive crossing is A id + A^-1 e and a negative one
+    A^-1 id + A e, where e joins the two upper ends and the two lower
+    ends.  The bottom caps close each matching into loops.
+    """
+    state: dict[tuple[int, ...], dict[int, int]] = {
+        tuple(x ^ 1 for x in range(2 * d.n)): {0: 1}
+    }
+    for i, row in enumerate(d.rows, 1):
+        for j, box in enumerate(row, 1):
+            s = 2 * j - 2 + i % 2  # the box's left strand, counted from 0
+            sign = 1 if box.a > 0 else -1
+            for _ in range(abs(box.a)):
+                after: dict[tuple[int, ...], list] = {}  # matching -> its terms
+                for mate, f in state.items():
+                    after.setdefault(mate, []).extend(laurent_mul(f, {sign: 1}).items())
+                    capped, e_term = list(mate), {-sign: 1}
+                    if mate[s] == s + 1:
+                        e_term = laurent_mul(e_term, DELTA)  # the cap closes a loop
+                    else:
+                        capped[mate[s]], capped[mate[s + 1]] = mate[s + 1], mate[s]
+                    capped[s], capped[s + 1] = s + 1, s
+                    after.setdefault(tuple(capped), []).extend(laurent_mul(f, e_term).items())
+                state = {mate: laurent(terms) for mate, terms in after.items()}
+    total = []
+    for mate, f in state.items():
+        seen, loops = set(), 0
+        for x in range(2 * d.n):
+            if x not in seen:
+                loops += 1
+                while x not in seen:  # bottom cap, then the matching above
+                    seen.update((x, x ^ 1))
+                    x = mate[x ^ 1]
+        total += laurent_mul(f, delta_power(loops)).items()
+    return laurent(total)
+
+
+def crossing_free_components(d: PlatDiagram) -> int:
+    """Components, by union-find over segments, that enter no nonzero box."""
+    entered = {(i - 1, 2 * j - 1 + i % 2 + x) for i, j, box in d.boxes() if box.a for x in (0, 1)}
+    return sum(1 for comp in union_find_components(d) if entered.isdisjoint(comp))
 
 
 # ---------------------------------------------------------------------------

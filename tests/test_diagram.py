@@ -1,7 +1,9 @@
 """Diagram structure, hypotheses, random generation, serialization."""
 
+import copy
 import json
 import math
+import pickle
 import random
 import re
 from pathlib import Path
@@ -298,9 +300,11 @@ def test_parse_fills_what_direct_construction_computes():
         parsed = diagram_from_json(diagram_to_json(d))
         direct = PlatDiagram(d.n, d.m, d.rows)
         assert {"slope_table", "is_all_twist"} <= parsed.__dict__.keys()
-        assert parsed.slope_table == direct.slope_table
-        assert parsed.is_all_twist is direct.is_all_twist
-        assert parsed.digest == direct.digest
+        # copies are rebuilt by __init__, so they recompute the boxes' codes
+        for other in (parsed, pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+            assert other.slope_table == direct.slope_table
+            assert other.is_all_twist is direct.is_all_twist
+            assert other.digest == direct.digest
 
 
 def test_parse_rejects_what_it_did_before():

@@ -20,6 +20,11 @@ from platsurf import (
 )
 from platsurf.export import pd_validate
 from helpers import (
+    DELTA,
+    bracket_from_pd,
+    bracket_from_plat,
+    laurent_mul,
+    mirror,
     plat_cycle_count,
     random_all_twist,
     random_mixed,
@@ -75,6 +80,18 @@ def test_pd_code_frozen_trefoil():
     assert code.crossings == ((1, 5, 2, 4), (5, 3, 6, 2), (3, 1, 4, 6))
     assert code.text() == "PD[X(1, 5, 2, 4), X(5, 3, 6, 2), X(3, 1, 4, 6)]"
     assert pd_trace_components(code) == 1
+
+
+def test_trefoil_bracket_two_ways():
+    # A^-7 - A^-3 - A^5, the bracket of the trefoil drawn with three
+    # crossings of one sign (Kauffman, Topology 26, 1987), loops counted
+    # as delta; the plat adds the crossing-free loop on strands 5 and 6
+    trefoil = laurent_mul(DELTA, {-7: 1, -3: -1, 5: -1})
+    d, flipped = make_diagram(3, 1, [[3, 0]]), make_diagram(3, 1, [[-3, 0]])
+    assert bracket_from_pd(to_pd_code(d)) == trefoil
+    assert bracket_from_plat(d) == laurent_mul(DELTA, trefoil)
+    assert bracket_from_pd(to_pd_code(flipped)) == mirror(trefoil) != trefoil
+    assert bracket_from_plat(flipped) == laurent_mul(DELTA, mirror(trefoil))
 
 
 def test_pd_code_frozen_single_kinks():

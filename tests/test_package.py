@@ -75,6 +75,24 @@ def test_no_subcommand_loads_the_record_machinery(diagram_file):
     assert out.split() == ["[]"]
 
 
+def test_only_surgery_loads_the_tangle_fractions(diagram_file):
+    out = child(
+        "import contextlib, io, sys; from platsurf import cli\n"
+        f"F = {diagram_file!r}\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "for argv in (['validate', F], ['paths', F], ['certify', F], ['info', F],\n"
+        "             ['export', F, '--format', 'pd'], ['render', F, '--out', F + '.svg'],\n"
+        "             ['random', '--n', '3', '--m', '3']):\n"
+        "    run(argv)\n"
+        "print('platsurf.tangles' in sys.modules)\n"
+        "run(['surgery', F, '--slopes', '3/1'])\n"
+        "print('platsurf.tangles' in sys.modules)"
+    )
+    assert out.split() == ["False", "True"]
+
+
 def test_every_public_name_is_its_defining_object():
     for name in platsurf.__all__:
         module = platsurf._LAZY.get(name, "render")

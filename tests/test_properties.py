@@ -13,7 +13,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from platsurf import (  # noqa: E402
     PlatDiagram,
@@ -39,7 +39,15 @@ from platsurf.certificates import (  # noqa: E402
 )
 from platsurf.cli import main  # noqa: E402
 from platsurf.topology import _end_links  # noqa: E402
-from helpers import row_len, sweep_pd_code, union_find_components  # noqa: E402
+from helpers import (  # noqa: E402
+    bracket_from_pd,
+    bracket_from_plat,
+    crossing_free_components,
+    delta_power,
+    row_len,
+    sweep_pd_code,
+    union_find_components,
+)
 
 SMALL = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
@@ -100,6 +108,37 @@ def test_pd_code_equals_the_sweep(d):
 def test_pd_crossings_are_the_twist_crossings(d):
     if d.twist_crossing_count > 0:
         assert to_pd_code(d).crossing_count == d.twist_crossing_count
+
+
+@st.composite
+def bracket_diagrams(draw, budget=14):
+    """All-twist diagrams with n <= 4 and at most ``budget`` crossings; a box
+    past the budget is drawn as a zero box."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.sampled_from((1, 3, 5, 7)))
+    rows = []
+    for i in range(1, m + 1):
+        row = draw(st.lists(st.integers(-3, 3), min_size=row_len(n, i), max_size=row_len(n, i)))
+        for j, a in enumerate(row):
+            row[j] = a if abs(a) <= budget else 0
+            budget -= abs(row[j])
+        rows.append(row)
+    return make_diagram(n, m, rows)
+
+
+@settings(SMALL, max_examples=60)
+@given(bracket_diagrams())
+@example(make_diagram(3, 1, [[3, 0]]))  # strands 5 and 6 meet no crossing
+@example(make_diagram(2, 3, [[0], [0, 0], [0]]))  # no crossing at all
+def test_pd_bracket_equals_the_plat_bracket(d):
+    # both sides are the bracket of one diagram, so they agree exactly,
+    # writhe included; the PD code omits the crossing-free components
+    free = crossing_free_components(d)
+    plat = bracket_from_plat(d)
+    if d.twist_crossing_count == 0:
+        assert plat == delta_power(free)
+    else:
+        assert bracket_from_pd(to_pd_code(d), free) == plat
 
 
 @SMALL
