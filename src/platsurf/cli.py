@@ -10,9 +10,13 @@ platsurf itself, reported on one stderr line.  A closed stdout, as in
 ``platsurf paths d.json | head -1``, ends the command by SIGPIPE (shell
 status 141) where the platform has it.
 
-Submodules load on first use: each ``cmd_*`` imports what it calls, so
-``platsurf validate`` never loads the certificate, surface, surgery,
-topology or export modules.
+``main`` alone reads the diagram file and writes the result, to
+``--out`` or stdout; each ``cmd_*`` only computes, returning its
+document and exit code.  So every command but ``paths``, which streams
+its listing, writes nothing until it has finished.  Submodules load on
+first use: each ``cmd_*`` imports what it calls, so ``platsurf
+validate`` never loads the certificate, surface, surgery, topology or
+export modules.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ if TYPE_CHECKING:
     from typing import Sequence
 
     from .diagram import PlatDiagram
+
+    # a command's document for --out or stdout, and its exit code
+    Result = tuple[str | bytes, int]
 
 # --mode choices and the certificate modes they name
 # (certificates.MODE_THEOREM1, MODE_RELAXED and MODE_COMPOSITE)
@@ -90,77 +97,64 @@ def _count_text(n: int, m: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace, d: PlatDiagram) -> Result:
     from .diagram import RELAXED, STRICT, check_hypotheses
 
-    d = _load(args.file)
     report = check_hypotheses(d, RELAXED if args.relaxed else STRICT)
-    print(json.dumps(report.to_dict(), indent=2))
-    return 0 if report.passed else 1
+    return json.dumps(report.to_dict(), indent=2) + "\n", 0 if report.passed else 1
 
 
-def cmd_paths(args: argparse.Namespace) -> int:
-    d = _load(args.file)
+def cmd_paths(args: argparse.Namespace, d: PlatDiagram) -> Result:
     if args.count:
-        print(_count_text(d.n, d.m))
-        return 0
+        return _count_text(d.n, d.m) + "\n", 0
     if d.n <= 2:
         print(
             "no allowable paths: n <= 2 is the 2-bridge case, which the "
             "certified statements exclude",
             file=sys.stderr,
         )
-        return 1
+        return "", 1
     from .paths import iter_allowable
 
     for p in iter_allowable(d):  # streamed: the count grows exponentially in m
         print(",".join(str(a) for a in p.entries))
-    return 0
+    return "", 0
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
+def cmd_certify(args: argparse.Namespace, d: PlatDiagram) -> Result:
     from .certificates import certificate_json, certify
 
-    d = _load(args.file)
     path = None if args.path is None else _parse_path(args.path)
     cert = certify(d, path, _MODES[args.mode])
-    _emit(certificate_json(cert), args.out)
-    return 0 if cert.certified else 1
+    return certificate_json(cert), 0 if cert.certified else 1
 
 
-def cmd_surgery(args: argparse.Namespace) -> int:
+def cmd_surgery(args: argparse.Namespace, d: PlatDiagram) -> Result:
     from .surgery import certify_haken, haken_certificate_json, parse_slopes
 
-    d = _load(args.file)
     cert = certify_haken(d, parse_slopes(args.slopes))
-    _emit(haken_certificate_json(cert), args.out)
-    return 0 if cert.certified else 1
+    return haken_certificate_json(cert), 0 if cert.certified else 1
 
 
-def cmd_export(args: argparse.Namespace) -> int:
-    d = _load(args.file)
+def cmd_export(args: argparse.Namespace, d: PlatDiagram) -> Result:
     if args.format == "json":
         from .diagram import diagram_to_json
 
-        _emit(diagram_to_json(d), args.out)
-        return 0
+        return diagram_to_json(d), 0
     from .export import to_braid_word, to_pd_code
 
     code = to_braid_word(d) if args.format == "braid" else to_pd_code(d)
-    _emit(code.text() + "\n", args.out)
-    return 0
+    return code.text() + "\n", 0
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: argparse.Namespace, d: PlatDiagram) -> Result:
     from .render import render
 
-    d = _load(args.file)
     path = None if args.path is None else _parse_path(args.path)
-    _emit(render(d, path, args.format), args.out)
-    return 0
+    return render(d, path, args.format), 0
 
 
-def cmd_random(args: argparse.Namespace) -> int:
+def cmd_random(args: argparse.Namespace, _: None) -> Result:
     from .diagram import diagram_to_json, random_diagram
 
     d = random_diagram(
@@ -170,14 +164,12 @@ def cmd_random(args: argparse.Namespace) -> int:
         seed=args.seed,
         require_parity=args.require_parity,
     )
-    _emit(diagram_to_json(d), args.out)
-    return 0
+    return diagram_to_json(d), 0
 
 
-def cmd_info(args: argparse.Namespace) -> int:
+def cmd_info(args: argparse.Namespace, d: PlatDiagram) -> Result:
     from .topology import build_topology
 
-    d = _load(args.file)
     t = build_topology(d)
     lines = [
         f"n: {d.n} ({2 * d.n} strands)",
@@ -187,8 +179,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"allowable paths: {_count_text(d.n, d.m)}",
         f"tubed surface genus: {(d.m + 1) // 2}",
     ]
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,7 +251,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        d = _load(args.file) if "file" in args else None  # every command but random
+        output, code = args.func(args, d)
+        _emit(output, getattr(args, "out", None))
         sys.stdout.flush()  # a buffered write fails here, not at exit
         return code
     except PlatError as e:

@@ -320,15 +320,28 @@ def test_info_output(write_diagram, capsys):
     assert "tubed surface genus: 2" in out
 
 
-def test_internal_fault_exits_3(write_diagram, capsys, monkeypatch):
-    def crash(args):
-        raise RuntimeError("boom")
+def test_internal_fault_exits_3(write_diagram, tmp_path, capsys, monkeypatch):
+    d = write_diagram(ALL_THREES, 3, 3)
+    out_file = tmp_path / "out"
+    # each command faults after it has computed its whole result, which
+    # is then neither on stdout nor in an --out file
+    for argv, has_out in ((["validate", d], False), (["certify", d], True),
+                          (["surgery", d, "--slopes", "3/1"], True),
+                          (["export", d, "--format", "pd"], True),
+                          (["render", d], True), (["info", d], False)):
+        name = f"cmd_{argv[0]}"
+        command = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "cmd_info", crash)
-    assert main(["info", write_diagram(ALL_THREES, 3, 3)]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "internal error: RuntimeError: boom\n"
+        def crash(*args, command=command):
+            command(*args)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, name, crash)
+        assert main([*argv, *(["--out", str(out_file)] if has_out else [])]) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == "internal error: RuntimeError: boom\n", argv
+        assert not out_file.exists(), argv
 
 
 _ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))

@@ -165,6 +165,9 @@ def test_pd_validate_rejects_bad_codes():
         "label seen three times": ((1, 2, 1, 2), (1, 3, 4, 4)),
         "label missing": ((1, 1, 2, 2), (3, 3, 2, 1)),
         "label seen 256 times": ((1, 1, 1, 1),) * 64,
+        "str label": ((1, "a", 1, "a"),),
+        "None label": ((1, 2, 1, None),),
+        "float label": ((1, 2.0, 1, 2),),
     }
     for what, quads in bad.items():
         with pytest.raises(MalformedPDCodeError, match="^malformed PD code: label counts"):

@@ -5,11 +5,15 @@ holds the diagram, the path used for path-dependent outputs (null for
 n <= 2) and the slope tuple given to ``certify_haken``.  Every other
 file in the directory is one recorded output, named as in ``OUTPUTS``;
 ``cli.json`` maps command lines (``FILE`` standing for the diagram's
-JSON file) to the exit code of ``cli.main``.  An output that is
-undefined for a case (a braid word of a rational diagram, say) has no
-file.  The test recomputes each recorded file and compares bytes.
+JSON file) to the exit code of ``cli.main``, and ``cli-output.json``
+maps the same command lines to the sha256 of their stdout bytes and
+their exact stderr (``FILE`` again standing for the file's path).  An
+output that is undefined for a case (a braid word of a rational
+diagram, say) has no file.  The test recomputes each recorded file and
+compares bytes.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -71,10 +75,10 @@ def test_corpus_is_present():
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_golden_outputs(name, tmp_path, capsys):
+def test_golden_outputs(name, tmp_path, capsysbinary):
     d, case = _load(name)
     recorded = sorted(p.name for p in (GOLDEN / name).iterdir())
-    unknown = set(recorded) - set(OUTPUTS) - {"case.json", "cli.json"}
+    unknown = set(recorded) - set(OUTPUTS) - {"case.json", "cli.json", "cli-output.json"}
     assert not unknown, f"unrecognised golden files {sorted(unknown)}"
     for fname in recorded:
         if fname in OUTPUTS:
@@ -84,7 +88,13 @@ def test_golden_outputs(name, tmp_path, capsys):
     diagram_file = tmp_path / "d.json"
     diagram_file.write_text(diagram_to_json(d))
     codes = json.loads((GOLDEN / name / "cli.json").read_text())
+    outputs = json.loads((GOLDEN / name / "cli-output.json").read_text())
+    assert list(outputs) == list(codes)
     for command, want in codes.items():
         argv = [str(diagram_file) if a == "FILE" else a for a in command.split()]
         assert main(argv) == want, f"{name}: platsurf {command}"
-        capsys.readouterr()
+        out, err = capsysbinary.readouterr()
+        assert {
+            "stdout_sha256": hashlib.sha256(out).hexdigest(),
+            "stderr": err.decode().replace(str(diagram_file), "FILE"),
+        } == outputs[command], f"{name}: platsurf {command}"
