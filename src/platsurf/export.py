@@ -35,7 +35,8 @@ anything: every component runs through some odd-row box, and those all
 carry crossings.
 
 A PD code costs memory in proportion to its crossings, so a diagram
-with more than ``MAX_PD_CROSSINGS`` is refused before anything is built.
+with more than ``MAX_PD_CROSSINGS`` is refused before any per-crossing
+list is built.
 """
 
 from __future__ import annotations
@@ -155,8 +156,13 @@ def pd_validate(code: PDCode) -> None:
             return
     seen: dict[int, int] = {}
     for quad in code.crossings:
-        for label in quad:
-            seen[label] = seen.get(label, 0) + 1
+        try:
+            for label in quad:
+                seen[label] = seen.get(label, 0) + 1
+        except TypeError:  # a crossing that is no sequence, or an unhashable label
+            raise MalformedPDCodeError(
+                f"malformed PD code: crossing {quad!r} is not four int labels"
+            ) from None
     try:
         counts_seen = sorted(seen.items())
     except TypeError:  # labels that do not order, as None or "a" beside ints

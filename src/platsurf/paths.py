@@ -88,39 +88,36 @@ class PathCheck(Record):
         return self.ok
 
 
-def _entries(path: AllowablePath | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(path, AllowablePath):
-        return path.entries
-    return tuple(path)
-
-
-def _shape_fault(
-    d: PlatDiagram, entries: tuple, lo: int, slack: int, span: str
-) -> str | None:
+def _shape_fault(d: PlatDiagram, entries: tuple, lo: int) -> str | None:
     """The first fault of ``entries`` as d.m ints (a bool is not one) with
-    lo <= a_i <= row_length(i) - slack, or None; ``span`` names the range."""
+    lo <= a_i <= row_length(i) - lo, or None.  lo is 1 for the allowable
+    range of the step rule and 0 for the corridors ``crossing_count`` takes."""
     if len(entries) != d.m:
         return f"expected {d.m} entries, got {len(entries)}"
     for i, a in enumerate(entries, 1):
         if isinstance(a, bool) or not isinstance(a, int):
             return f"row {i}: entry {a!r} is not an int"
-        hi = row_length(d.n, i) - slack
+        hi = row_length(d.n, i) - lo
         if not lo <= a <= hi:
-            return f"row {i}: entry {a} outside {span}{lo}..{hi}"
+            return f"row {i}: entry {a} outside {'allowable range ' if lo else ''}{lo}..{hi}"
     return None
 
 
-def check_allowable(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> PathCheck:
-    """Step-rule check of a candidate entry vector against d's shape.
+def allowable_entries(
+    d: PlatDiagram, path: AllowablePath | Sequence[int]
+) -> tuple[int, ...]:
+    """The entries of ``path`` as a tuple when it is allowable on d.
 
-    A 2-bridge diagram (n <= 2) has no allowable path, so every vector
-    fails there with that reason.
+    Otherwise raises PathError naming the first fault, checked in this
+    order: a 2-bridge diagram (n <= 2) has no allowable path; then the
+    shape (d.m int entries, 1 <= a_i <= row_length(i) - 1); then the
+    step rule, one pair of rows at a time from the top.
     """
     if d.n <= 2:
-        return PathCheck(False, _TWO_BRIDGE)
-    entries = _entries(path)
-    if fault := _shape_fault(d, entries, 1, 1, "allowable range "):
-        return PathCheck(False, fault)
+        raise PathError(_TWO_BRIDGE)
+    entries = tuple(path)
+    if fault := _shape_fault(d, entries, 1):
+        raise PathError(fault)
     for i in range(1, len(entries)):
         prev, cur = entries[i - 1], entries[i]
         if i % 2 == 1:  # odd row to even row below it
@@ -128,22 +125,18 @@ def check_allowable(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> Path
         else:
             allowed = (prev - 1, prev)
         if cur not in allowed:
-            return PathCheck(
-                False,
-                f"rows {i}->{i + 1}: step {prev}->{cur} not in {allowed}",
-            )
-    return PathCheck(True)
-
-
-def allowable_entries(
-    d: PlatDiagram, path: AllowablePath | Sequence[int]
-) -> tuple[int, ...]:
-    """The entries of ``path``; raises PathError when it is not allowable on d."""
-    entries = _entries(path)
-    check = check_allowable(d, entries)
-    if not check:
-        raise PathError(check.reason or "path is not allowable")
+            raise PathError(f"rows {i}->{i + 1}: step {prev}->{cur} not in {allowed}")
     return entries
+
+
+def check_allowable(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> PathCheck:
+    """The verdict of ``allowable_entries`` as a record: PathCheck(True),
+    or PathCheck(False, reason) with the PathError message as the reason."""
+    try:
+        allowable_entries(d, path)
+    except PathError as e:
+        return PathCheck(False, str(e))
+    return PathCheck(True)
 
 
 def crossing_count(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> int:
@@ -156,8 +149,8 @@ def crossing_count(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> int:
     cross one cap arc; interior gap i is crossed |pos(i+1) - pos(i)|
     times, once per strand position passed.
     """
-    entries = _entries(path)
-    if fault := _shape_fault(d, entries, 0, 0, ""):
+    entries = tuple(path)
+    if fault := _shape_fault(d, entries, 0):
         raise PathError(fault)
     ps = corridor_positions(entries)
     return 1 + sum(abs(ps[i + 1] - ps[i]) for i in range(len(ps) - 1)) + 1

@@ -16,13 +16,13 @@ never forms 0/0 and lands exactly on the canonical fraction.
 
 Each box induces a pairing of its four boundary points {NW, NE, SW, SE}.
 Which of the three pairings occurs depends only on the parities of p and
-q; ``pairing`` applies that parity table and ``pairing_by_tracing``
-recomputes the same answer by explicitly building the tangle one half
-twist at a time.  The table is frozen against the trace, not the other
-way around.  The order of ``Pairing`` gives each pairing its code 0, 1
-or 2 in a box's slope byte, which ``diagram`` computes from the same
-parities without this module; the test suite checks every byte against
-``pairing``, ``pairing_by_tracing`` and ``incompressibility_level``.
+q.  That parity rule lives in one place, ``diagram._slope_code``, which
+gives every box its slope byte ``3 * min(|q|, 3) + code``, the code
+0, 1 or 2 in the order of ``Pairing``; ``pairing`` and
+``incompressibility_level`` read the two halves of that byte.
+``pairing_by_tracing`` is the rule's oracle: it recomputes the pairing
+by building the tangle one half twist at a time, and the rule is frozen
+against the trace, not the other way around.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import math
 from typing import Iterable
 
 from ._record import Record, set_field
+from .diagram import _slope_code
 from .errors import ParameterError
 
 
@@ -131,18 +132,15 @@ class Pairing(enum.Enum):
     CAPS = "caps"
 
 
-def pairing(f: TangleFraction) -> Pairing:
-    """Boundary pairing of the p/q box, by the parity table.
+_BY_CODE = tuple(Pairing)  # indexed by the pairing code of a slope byte
 
-    p and q cannot both be even in a reduced fraction, so three cases
-    remain: odd/odd swaps, odd/even passes straight through, even/odd
-    caps off.  Frozen against ``pairing_by_tracing``.
+
+def pairing(f: TangleFraction) -> Pairing:
+    """Boundary pairing of the p/q box, by the parity rule of
+    ``diagram._slope_code``: odd/odd swaps, odd/even passes straight
+    through, even/odd caps off.  Frozen against ``pairing_by_tracing``.
     """
-    if f.p % 2 == 1 and f.q % 2 == 1:
-        return Pairing.THROUGH_SWAP
-    if f.p % 2 == 1:
-        return Pairing.THROUGH_IDENTITY
-    return Pairing.CAPS
+    return _BY_CODE[_slope_code(f.p, f.q) % 3]
 
 
 # endpoint sets for the two possible starting tangles of the trace
@@ -197,4 +195,4 @@ def incompressibility_level(f: TangleFraction) -> int:
     2: adds incompressibility of the twice-punctured disks.
     3: |q| >= 3, the full condition needed of interior and end boxes.
     """
-    return min(f.q, 3)
+    return _slope_code(f.p, f.q) // 3

@@ -172,6 +172,10 @@ def test_pd_validate_rejects_bad_codes():
     for what, quads in bad.items():
         with pytest.raises(MalformedPDCodeError, match="^malformed PD code: label counts"):
             pd_validate(PDCode(quads))
+    # no label count can be taken of these: an unhashable label, or a crossing no sequence
+    for quads in ((1, [2], 1, [2]),), ((1, 1, 2, {}),), (1,):
+        with pytest.raises(MalformedPDCodeError, match="^malformed PD code:"):
+            pd_validate(PDCode(quads))
     with pytest.raises(MalformedPDCodeError) as exc:
         pd_validate(PDCode(bad["negative label"]))
     assert str(exc.value) == "malformed PD code: label counts [(-1, 1), (1, 2), (2, 1)]"

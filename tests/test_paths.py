@@ -22,7 +22,7 @@ from platsurf import (
     make_diagram,
     random_diagram,
 )
-from platsurf.paths import MAX_PATHS, allowable_entries
+from platsurf.paths import MAX_PATHS, PathCheck, allowable_entries
 from helpers import brute_force_paths, polyline_crossing_count, row_len
 
 
@@ -125,6 +125,32 @@ def test_step_rule_equals_crossing_oracle_small():
                     1 <= a <= row_len(n, i) - 1 for i, a in enumerate(entries, 1)
                 )
                 assert ok == (bounds and crossing_count(d, entries) == m + 1), entries
+
+
+def test_both_forms_of_the_path_verdict_agree():
+    # check_allowable reports the verdict allowable_entries raises, on every
+    # form of path, allowable or not, too short or too long, ints or not
+    forms = (tuple, list, AllowablePath, lambda v: (a for a in v))
+    for n in range(1, 5):
+        for m in (1, 3, 5):
+            d = _shape(n, m)
+            vectors = [
+                v for k in (m - 1, m, m + 1)
+                for v in itertools.product(range(n + 1), repeat=k)
+            ]
+            vectors += [
+                (1,) * k + (bad,) + (1,) * (m - k - 1)
+                for k in range(m) for bad in (True, "1", 1.0)
+            ]
+            for v in vectors:
+                for form in forms:
+                    check = check_allowable(d, form(v))
+                    try:
+                        entries = allowable_entries(d, form(v))
+                    except PathError as e:
+                        assert check == PathCheck(False, str(e)), (n, m, v, form)
+                    else:
+                        assert entries == v and check == PathCheck(True), (n, m, v, form)
 
 
 def test_crossing_oracle_against_polyline_geometry():

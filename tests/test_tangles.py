@@ -74,9 +74,10 @@ def test_pairing_frozen_cases():
 
 
 def test_pairing_table_matches_tracing():
-    # the table is the fast route; the trace builds the tangle move by move
+    # the slope rule is the fast route; the trace builds the tangle move by move
     for f in _all_reduced(25):
         assert pairing_by_tracing(f.continued_fraction()) is pairing(f), f
+        assert incompressibility_level(f) == min(f.q, 3), f
 
 
 def test_pairing_by_tracing_random_term_lists():
