@@ -27,6 +27,15 @@ follow counterclockwise (in page coordinates: west ports on the left,
 north up).  Sign convention, fixed in FORMATS.md: in a positive twist
 the strand running northwest to southeast passes under.
 
+A component's walk is kept as one pass per crossed box (first port,
+step, crossing count), so both its ends are known before any label is
+written; its labels are then written in one run over its crossings,
+through the passes in reverse when the walk must be read the other way.
+A negative crossing ranks its ports a quarter turn on, so the
+under-strand always holds ranks 0 and 2 and X(...) is read from one of
+them.  A caller's ``PDCode`` must hold int 4-tuples; ``to_pd_code``
+skips that scan, and ``pd_validate`` checks every code it returns.
+
 A component that never enters a crossed box (possible when all its
 boxes are zero twists) has no place in a PD code; such components are
 omitted from the output, and a diagram with no crossings at all is an
@@ -40,6 +49,9 @@ list is built.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
+from typing import Iterable
 
 from ._record import Record, set_field
 from .diagram import PlatDiagram, Twist, box_strands
@@ -88,30 +100,63 @@ def to_braid_word(d: PlatDiagram) -> BraidWord:
 # ---------------------------------------------------------------------------
 # PD codes
 
-# a port is its rank counterclockwise in page coordinates.  A strand leaves
-# a crossing by the port diagonally opposite the one it entered by, the
-# port's rank ^ _DIAGONAL, and enters the next crossing of its box by the
-# port of the other column, rank ^ _COLUMN.  The under-strand runs NW-SE in
-# a positive twist and NE-SW in a negative one: the even ranks or the odd.
-_NW, _SW, _SE, _NE = range(4)
-_DIAGONAL, _COLUMN = 2, 3
+# a label lives at slot 4 * crossing + rank.  A positive crossing ranks its
+# ports NW, SW, SE, NE (counterclockwise in page coordinates), a negative one
+# SW, SE, NE, NW, so the under-strand (NW-SE in a positive twist, NE-SW in a
+# negative one) holds the even ranks.  A strand leaves a crossing by the
+# diagonal port, rank ^ 2, and enters the next crossing of its box by the
+# other column's port, rank ^ 3 when positive and ^ 1 when negative.
+
+
+def _rank(slot: int, turn: int) -> int:
+    """The (crossing, NW-first rank) of a slot; turn 1 marks a negative crossing."""
+    return slot if turn == 3 else slot & -4 | (slot + 1) & 3
 
 
 class PDCode(Record):
-    """Planar diagram code: one X(a, b, c, d) tuple per crossing."""
+    """Planar diagram code: one X(a, b, c, d) tuple per crossing, four ints
+    each, or MalformedPDCodeError; ``pd_validate`` checks the label counts."""
 
     __slots__ = _fields = ("crossings",)
 
-    def __init__(self, crossings: tuple[tuple[int, int, int, int], ...]) -> None:
-        set_field(self, "crossings", crossings)
+    def __init__(self, crossings: Iterable[Iterable[int]]) -> None:
+        try:
+            quads = tuple([tuple(quad) for quad in crossings])
+        except TypeError:  # the crossings, or one of them, no sequence
+            raise MalformedPDCodeError(
+                f"malformed PD code: crossings {crossings!r} are not sequences of labels"
+            ) from None
+        if not all(len(q) == 4 and all(type(x) is int for x in q) for q in quads):
+            raise _malformed(quads)
+        set_field(self, "crossings", quads)
 
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
 
     def text(self) -> str:
-        inner = ", ".join("X(%d, %d, %d, %d)" % c for c in self.crossings)
-        return f"PD[{inner}]"
+        quad = "X(%d, %d, %d, %d)"
+        return ("PD[" + ", ".join([quad] * len(self.crossings)) + "]") % tuple(
+            chain.from_iterable(self.crossings)
+        )
+
+
+def _malformed(crossings) -> MalformedPDCodeError:
+    """The error naming a crossing with an unhashable label, or the counts."""
+    seen: dict = {}
+    for quad in crossings:
+        try:
+            for label in quad:
+                seen[label] = seen.get(label, 0) + 1
+        except TypeError:  # an unhashable label
+            return MalformedPDCodeError(
+                f"malformed PD code: crossing {quad!r} is not four int labels"
+            )
+    try:
+        counts_seen = sorted(seen.items())
+    except TypeError:  # labels that do not order, as None or "a" beside ints
+        counts_seen = list(seen.items())
+    return MalformedPDCodeError(f"malformed PD code: label counts {counts_seen}")
 
 
 def pd_trace_components(code: PDCode) -> int:
@@ -154,20 +199,7 @@ def pd_validate(code: PDCode) -> None:
         # a label below 1 counts for 0 or, from the top, for another label
         if counts.count(2) == labels and min(map(min, code.crossings), default=1) > 0:
             return
-    seen: dict[int, int] = {}
-    for quad in code.crossings:
-        try:
-            for label in quad:
-                seen[label] = seen.get(label, 0) + 1
-        except TypeError:  # a crossing that is no sequence, or an unhashable label
-            raise MalformedPDCodeError(
-                f"malformed PD code: crossing {quad!r} is not four int labels"
-            ) from None
-    try:
-        counts_seen = sorted(seen.items())
-    except TypeError:  # labels that do not order, as None or "a" beside ints
-        counts_seen = list(seen.items())
-    raise MalformedPDCodeError(f"malformed PD code: label counts {counts_seen}")
+    raise _malformed(code.crossings)
 
 
 def to_pd_code(d: PlatDiagram) -> PDCode:
@@ -196,17 +228,10 @@ def to_pd_code(d: PlatDiagram) -> PDCode:
         raise ParameterError(
             f"diagram has {crossings} crossings; PD codes are limited to {MAX_PD_CROSSINGS}"
         )
-
-    negative = bytearray()  # by crossing id
-    for a_row in twists:
-        for a in a_row:
-            negative += bytes(a) if a > 0 else b"\1" * -a
-    labels = [0] * (4 * crossings)  # arc label at port slot 4 * crossing + port
-    under_in = bytearray(crossings)  # the port the under-strand enters by
     w = 2 * d.n
-    next_label = 1
-    for ends in _cycles(d):
-        walk = []  # the slot each crossing is entered by, in the cycle's direction
+
+    def passes(ends):
+        """Each crossed box's first slot, slot step, crossing count and turn."""
         for e in ends:
             g, x = divmod(e >> 1, w)  # x counts strands from 0 here
             i = g + (e & 1)  # the row that end e meets
@@ -215,39 +240,48 @@ def to_pd_code(d: PlatDiagram) -> PDCode:
             if a == 0:
                 continue  # a cap, a straight stretch or a zero box
             column = (x + i) & 1  # 0 on the box's left strand, 1 on its right
-            top, bottom = 4 * first[i][j], 4 * (first[i][j] + abs(a) - 1)
-            if e & 1:  # entering the box from above
-                port, bases = (_NW, _NE)[column], range(top, bottom + 1, 4)
-            else:
-                port, bases = (_SW, _SE)[column], range(bottom, top - 1, -4)
-            for base in bases:
-                walk.append(base + port)
-                port ^= _COLUMN
+            if e & 1:  # entering the top crossing by NW or NE, stepping down
+                slot = 4 * first[i][j] + (3 * column if a > 0 else 3 - column)
+                yield slot, 4, abs(a), 3 if a > 0 else 1
+            else:  # entering the bottom crossing by SW or SE, stepping up
+                slot = 4 * (first[i][j] + abs(a)) - 4 + (1 + column if a > 0 else column)
+                yield slot, -4, abs(a), 3 if a > 0 else 1
+
+    labels = [0] * (4 * crossings)  # arc label by slot
+    half_turn = bytearray(crossings)  # 2 where the under-strand enters by slot 2
+    next_label = 1
+    for ends in _cycles(d):
+        walk = list(passes(ends))
         if not walk:
             continue  # a crossing-free component; see the module docstring
         # the walk starts on the arc from its last crossing to its first;
-        # that arc is labelled first, headed to its lower-ranked end
-        if walk[-1] ^ _DIAGONAL < walk[0]:
-            walk = [s ^ _DIAGONAL for s in reversed(walk)]
-        for label, s in enumerate(walk, next_label):
-            labels[s] = label
-            labels[s ^ _DIAGONAL] = label + 1
-            c = s >> 2
-            if s & 1 == negative[c]:  # the under-strand; see _NW
-                under_in[c] = s & 3
-        labels[walk[-1] ^ _DIAGONAL] = next_label
-        next_label += len(walk)
+        # that arc is labelled first, headed to its lower-ranked end, so a
+        # walk that ends on the lower rank is labelled backward: its passes
+        # in reverse, each from its last slot's diagonal, stepping back
+        slot, step, k, turn = walk[-1]
+        last = (slot + (k - 1) * step) ^ (turn if k % 2 == 0 else 0)
+        backward = _rank(last ^ 2, turn) < _rank(walk[0][0], walk[0][3])
+        label = next_label
+        for slot, step, k, turn in reversed(walk) if backward else walk:
+            if backward:
+                slot = (slot + (k - 1) * step) ^ (turn if k % 2 == 0 else 0) ^ 2
+                step = -step
+            for _ in repeat(None, k):
+                labels[slot] = label
+                label += 1
+                labels[slot ^ 2] = label
+                if not slot & 1:  # the under-strand
+                    half_turn[slot >> 2] = slot & 2
+                slot = (slot + step) ^ turn
+        labels[walk[0][0] if backward else last ^ 2] = next_label
+        next_label = label
 
-    quads = []  # each crossing's labels from its under-strand's entry on
-    for base, u in zip(range(0, len(labels), 4), under_in):
-        quads.append(
-            (
-                labels[base + u],
-                labels[base + (u + 1) % 4],
-                labels[base + (u + 2) % 4],
-                labels[base + (u + 3) % 4],
-            )
-        )
-    code = PDCode(tuple(quads))
+    # each crossing's labels from its under-strand's entry on; they are int
+    # 4-tuples by construction, so PDCode's scan is skipped
+    code = object.__new__(PDCode)
+    set_field(code, "crossings", tuple([
+        (labels[base + u], labels[base + 1 + u], labels[base + 2 - u], labels[base + 3 - u])
+        for base, u in zip(range(0, 4 * crossings, 4), half_turn)
+    ]))
     pd_validate(code)
     return code

@@ -6,6 +6,11 @@ rows offset one strand to the right of even rows.  An allowable path
 can be overlaid as a dashed polyline descending through the gaps it
 uses.  Output is a byte string and depends only on the inputs, so
 renders are reproducible.
+
+Both pictures are built a row at a time: the SVG formats each box with
+one ``%`` of its row's string, and an ASCII box row is one join of
+``[label]`` boxes between fixed runs of strands, the path marker patched
+in.  A label wider than five pushes the rest of its row right.
 """
 
 from __future__ import annotations
@@ -51,17 +56,12 @@ def render(
 
 
 def _render_svg(d: PlatDiagram, path) -> bytes:
-    from .diagram import box_strands
-
     _, ps = _positions(d, path)
-
-    def x_at(x: int) -> int:
-        return _MARGIN + (x - 1) * _DX
-
     y0 = _MARGIN + _CAP  # top of the strand band
     y1 = y0 + d.m * _DY
     width = 2 * _MARGIN + (2 * d.n - 1) * _DX
     height = 2 * _MARGIN + 2 * _CAP + d.m * _DY
+    xs = range(_MARGIN, width - _MARGIN + 1, _DX)  # the strands' x, left to right
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -69,36 +69,33 @@ def _render_svg(d: PlatDiagram, path) -> bytes:
         f'<rect width="{width}" height="{height}" fill="white"/>',
         '<g stroke="black" stroke-width="2" fill="none">',
     ]
-    for x in range(1, 2 * d.n + 1):
-        parts.append(f'<line x1="{x_at(x)}" y1="{y0}" x2="{x_at(x)}" y2="{y1}"/>')
-    for j in range(1, d.n + 1):
-        xl, xr = x_at(2 * j - 1), x_at(2 * j)
-        r = (xr - xl) // 2
-        parts.append(f'<path d="M {xl} {y0} A {r} {_CAP} 0 0 1 {xr} {y0}"/>')
-        parts.append(f'<path d="M {xl} {y1} A {r} {_CAP} 0 0 0 {xr} {y1}"/>')
+    parts += [f'<line x1="{x}" y1="{y0}" x2="{x}" y2="{y1}"/>' for x in xs]
+    r = _DX // 2
+    for xl in xs[::2]:
+        parts.append(f'<path d="M {xl} {y0} A {r} {_CAP} 0 0 1 {xl + _DX} {y0}"/>')
+        parts.append(f'<path d="M {xl} {y1} A {r} {_CAP} 0 0 0 {xl + _DX} {y1}"/>')
     parts.append("</g>")
 
+    # a box spans its two strands and 12 more on either side; odd rows start
+    # on strand 2, even rows on strand 1
     parts.append('<g font-family="monospace" font-size="14" text-anchor="middle">')
-    for i, j, box in d.boxes():
-        s, t = box_strands(i, j)
-        bx = x_at(s) - 12
-        by = y0 + (i - 1) * _DY + 14
-        bw = x_at(t) - x_at(s) + 24
-        bh = _DY - 28
-        parts.append(
-            f'<rect class="box" x="{bx}" y="{by}" width="{bw}" height="{bh}" '
-            'fill="white" stroke="black" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{(x_at(s) + x_at(t)) // 2}" y="{by + bh // 2 + 5}">{box}</text>'
-        )
+    bh = _DY - 28
+    for i, row in enumerate(d.rows):
+        by = y0 + i * _DY + 14
+        box = (
+            '<rect class="box" x="%%d" y="%d" width="%d" height="%d" '
+            'fill="white" stroke="black" stroke-width="2"/>\n<text x="%%d" y="%d">%%s</text>'
+        ) % (by, _DX + 24, bh, by + bh // 2 + 5)
+        x0 = xs[1 - i % 2] - 12
+        parts += [box % (x, x + 12 + _DX // 2, b) for x, b in zip(range(x0, width, 2 * _DX), row)]
     parts.append("</g>")
 
     if ps is not None:
-        points = [f"{x_at(ps[0]) + _DX // 2},{_MARGIN}"]
-        for i, p in enumerate(ps, 1):
-            points.append(f"{x_at(p) + _DX // 2},{y0 + (i - 1) * _DY + _DY // 2}")
-        points.append(f"{x_at(ps[-1]) + _DX // 2},{height - _MARGIN}")
+        mid = _MARGIN - _DX // 2  # the x of corridor 0, between strands 0 and 1
+        points = [f"{mid + ps[0] * _DX},{_MARGIN}"]
+        for i, p in enumerate(ps):
+            points.append(f"{mid + p * _DX},{y0 + i * _DY + _DY // 2}")
+        points.append(f"{mid + ps[-1] * _DX},{height - _MARGIN}")
         parts.append(
             f'<polyline class="path" points="{" ".join(points)}" fill="none" '
             'stroke="crimson" stroke-width="2" stroke-dasharray="6 4"/>'
@@ -109,51 +106,32 @@ def _render_svg(d: PlatDiagram, path) -> bytes:
 
 
 def _render_ascii(d: PlatDiagram, path) -> bytes:
-    from .diagram import box_strands
-
     entries, ps = _positions(d, path)
-
-    def col(x: int) -> int:
-        return 2 + 4 * (x - 1)
-
-    width = col(2 * d.n) + 3
-
-    def strand_line() -> list[str]:
-        line = [" "] * width
-        for x in range(1, 2 * d.n + 1):
-            line[col(x)] = "│"
-        return line
-
-    def cap_line(top: bool) -> str:
-        line = [" "] * width
-        l, r = ("╭", "╮") if top else ("╰", "╯")
-        for j in range(1, d.n + 1):
-            a, b = col(2 * j - 1), col(2 * j)
-            line[a] = l
-            line[b] = r
-            for c in range(a + 1, b):
-                line[c] = "─"
-        return "".join(line)
-
+    # strand x sits at column 4x - 2; a box "[label]" fills the columns from
+    # one left of its left strand to one right of its right strand, boxes
+    # one blank apart: odd rows from column 5, even rows from column 1
+    strands = "  " + "│   " * (2 * d.n - 1) + "│  "
+    width = len(strands)
     lines = []
     if ps is not None:
         lines.append("path: (" + ", ".join(str(a) for a in entries) + ")")
-    lines.append(cap_line(True))
-    for i in range(1, d.m + 1):
-        lines.append("".join(strand_line()))
-        boxrow = strand_line()
-        for j in range(1, d.row_length(i) + 1):
-            s, t = box_strands(i, j)
-            a, b = col(s) - 1, col(t) + 1
-            label = str(d.box(i, j)).center(b - a - 1)
-            boxrow[a] = "["
-            boxrow[b] = "]"
-            boxrow[a + 1 : b] = list(label)
+    lines.append("  " + "   ".join(["╭───╮"] * d.n) + "  ")
+    for i, row in enumerate(d.rows):
+        lines.append(strands)
+        first = 5 if i % 2 == 0 else 1
+        boxes = ["[" + label.center(5) + "]" for label in map(str, row)]
+        line = " ".join([strands[: first - 1], *boxes, strands[first + 8 * len(row) :]])
+        if len(line) > width:
+            # a label wider than five: each box still starts at its own
+            # column and pushes the rest of the row right
+            line = strands
+            for a, box in zip(range(first, width, 8), boxes):
+                line = line[:a] + box + line[a + 7 :]
         if ps is not None:
-            marker = col(ps[i - 1]) + 2
-            if boxrow[marker] == " ":
-                boxrow[marker] = "┊"
-        lines.append("".join(boxrow))
-    lines.append("".join(strand_line()))
-    lines.append(cap_line(False))
+            marker = 4 * ps[i]  # the corridor's column, right of strand ps[i]
+            if line[marker] == " ":
+                line = line[:marker] + "┊" + line[marker + 1 :]
+        lines.append(line)
+    lines.append(strands)
+    lines.append("  " + "   ".join(["╰───╯"] * d.n) + "  ")
     return ("\n".join(lines) + "\n").encode()

@@ -9,7 +9,9 @@ instead of side thresholds, and a top-to-bottom sweep of arc labels
 instead of the component walk for PD codes, a loop over every box
 reading its denominator instead of the row scan of the slope table for
 the hypotheses, and the Kauffman bracket of a PD code checked against a
-Temperley-Lieb sweep of the plat itself.
+Temperley-Lieb sweep of the plat itself.  The last section keeps the
+per-crossing PD walk and the box-by-box renders as byte oracles for the
+library's row-at-a-time routines.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import itertools
 import math
 import random
 
-from platsurf import PDCode, PlatDiagram, Twist, UnsupportedBoxError, make_diagram
+from platsurf import ParameterError, PDCode, PlatDiagram, Twist, UnsupportedBoxError, make_diagram
 from platsurf.diagram import box_denominator, box_strands
-from platsurf.export import pd_validate
-from platsurf.topology import build_topology, component_cycles
+from platsurf.export import MAX_PD_CROSSINGS, _require_all_twist, pd_validate
+from platsurf.paths import allowable_entries, corridor_positions
+from platsurf.topology import _cycles, build_topology, component_cycles
 
 
 def row_len(n: int, i: int) -> int:
@@ -575,3 +578,211 @@ def random_mixed(rng: random.Random, n: int, m: int) -> PlatDiagram:
 
 def random_shape(rng: random.Random, n_hi: int, m_hi: int) -> tuple[int, int]:
     return rng.randint(3, n_hi), rng.choice(range(1, m_hi + 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# byte oracles for the export and render routines: the walk labelling one
+# crossing end at a time, and renders written box by box with box_strands.
+# They share the component walk and the path check with the library, so they
+# pin bytes, not the topology; sweep_pd_code is the independent PD oracle.
+
+_NW, _SW, _SE, _NE = range(4)
+_PORT_DIAGONAL, _COLUMN = 2, 3
+_MARGIN, _DX, _DY, _CAP = 40, 36, 56, 24
+
+
+def _positions(d: PlatDiagram, path):
+    if path is None:
+        return None, None
+    entries = allowable_entries(d, path)
+    return entries, corridor_positions(entries)
+
+
+def per_crossing_pd_code(d: PlatDiagram) -> PDCode:
+    """PD code of an all-twist diagram, one walk step per crossing end."""
+    _require_all_twist(d, "expand it before exporting a PD code")
+    # per row, each box's twist and its first crossing id in sweep order;
+    # odd rows gain a zero box at either end for their uncovered outer
+    # strands, and a zero row above and below stands for the caps
+    caps = [0] * (d.n + 1)
+    twists, first = [caps], [caps]
+    crossings = 0
+    for i, row in enumerate(d.rows, 1):
+        a_row = [box.a for box in row]
+        if i % 2 == 1:
+            a_row = [0, *a_row, 0]
+        starts = []
+        for a in a_row:
+            starts.append(crossings)
+            crossings += abs(a)
+        twists.append(a_row)
+        first.append(starts)
+    twists.append(caps)
+    if crossings == 0:
+        raise UnsupportedBoxError("diagram has no crossings; PD code is undefined")
+    if crossings > MAX_PD_CROSSINGS:
+        raise ParameterError(
+            f"diagram has {crossings} crossings; PD codes are limited to {MAX_PD_CROSSINGS}"
+        )
+
+    negative = bytearray()  # by crossing id
+    for a_row in twists:
+        for a in a_row:
+            negative += bytes(a) if a > 0 else b"\1" * -a
+    labels = [0] * (4 * crossings)  # arc label at port slot 4 * crossing + port
+    under_in = bytearray(crossings)  # the port the under-strand enters by
+    w = 2 * d.n
+    next_label = 1
+    for ends in _cycles(d):
+        walk = []  # the slot each crossing is entered by, in the cycle's direction
+        for e in ends:
+            g, x = divmod(e >> 1, w)  # x counts strands from 0 here
+            i = g + (e & 1)  # the row that end e meets
+            j = (x + (i & 1)) >> 1
+            a = twists[i][j]
+            if a == 0:
+                continue  # a cap, a straight stretch or a zero box
+            column = (x + i) & 1  # 0 on the box's left strand, 1 on its right
+            top, bottom = 4 * first[i][j], 4 * (first[i][j] + abs(a) - 1)
+            if e & 1:  # entering the box from above
+                port, bases = (_NW, _NE)[column], range(top, bottom + 1, 4)
+            else:
+                port, bases = (_SW, _SE)[column], range(bottom, top - 1, -4)
+            for base in bases:
+                walk.append(base + port)
+                port ^= _COLUMN
+        if not walk:
+            continue  # a crossing-free component; see the module docstring
+        # the walk starts on the arc from its last crossing to its first;
+        # that arc is labelled first, headed to its lower-ranked end
+        if walk[-1] ^ _PORT_DIAGONAL < walk[0]:
+            walk = [s ^ _PORT_DIAGONAL for s in reversed(walk)]
+        for label, s in enumerate(walk, next_label):
+            labels[s] = label
+            labels[s ^ _PORT_DIAGONAL] = label + 1
+            c = s >> 2
+            if s & 1 == negative[c]:  # the under-strand; see _NW
+                under_in[c] = s & 3
+        labels[walk[-1] ^ _PORT_DIAGONAL] = next_label
+        next_label += len(walk)
+
+    quads = []  # each crossing's labels from its under-strand's entry on
+    for base, u in zip(range(0, len(labels), 4), under_in):
+        quads.append(
+            (
+                labels[base + u],
+                labels[base + (u + 1) % 4],
+                labels[base + (u + 2) % 4],
+                labels[base + (u + 3) % 4],
+            )
+        )
+    code = PDCode(tuple(quads))
+    pd_validate(code)
+    return code
+
+
+def per_box_render_svg(d: PlatDiagram, path) -> bytes:
+    """SVG render of d, one list part per line and one f-string per box."""
+    _, ps = _positions(d, path)
+
+    def x_at(x: int) -> int:
+        return _MARGIN + (x - 1) * _DX
+
+    y0 = _MARGIN + _CAP  # top of the strand band
+    y1 = y0 + d.m * _DY
+    width = 2 * _MARGIN + (2 * d.n - 1) * _DX
+    height = 2 * _MARGIN + 2 * _CAP + d.m * _DY
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        '<g stroke="black" stroke-width="2" fill="none">',
+    ]
+    for x in range(1, 2 * d.n + 1):
+        parts.append(f'<line x1="{x_at(x)}" y1="{y0}" x2="{x_at(x)}" y2="{y1}"/>')
+    for j in range(1, d.n + 1):
+        xl, xr = x_at(2 * j - 1), x_at(2 * j)
+        r = (xr - xl) // 2
+        parts.append(f'<path d="M {xl} {y0} A {r} {_CAP} 0 0 1 {xr} {y0}"/>')
+        parts.append(f'<path d="M {xl} {y1} A {r} {_CAP} 0 0 0 {xr} {y1}"/>')
+    parts.append("</g>")
+
+    parts.append('<g font-family="monospace" font-size="14" text-anchor="middle">')
+    for i, j, box in d.boxes():
+        s, t = box_strands(i, j)
+        bx = x_at(s) - 12
+        by = y0 + (i - 1) * _DY + 14
+        bw = x_at(t) - x_at(s) + 24
+        bh = _DY - 28
+        parts.append(
+            f'<rect class="box" x="{bx}" y="{by}" width="{bw}" height="{bh}" '
+            'fill="white" stroke="black" stroke-width="2"/>'
+        )
+        parts.append(
+            f'<text x="{(x_at(s) + x_at(t)) // 2}" y="{by + bh // 2 + 5}">{box}</text>'
+        )
+    parts.append("</g>")
+
+    if ps is not None:
+        points = [f"{x_at(ps[0]) + _DX // 2},{_MARGIN}"]
+        for i, p in enumerate(ps, 1):
+            points.append(f"{x_at(p) + _DX // 2},{y0 + (i - 1) * _DY + _DY // 2}")
+        points.append(f"{x_at(ps[-1]) + _DX // 2},{height - _MARGIN}")
+        parts.append(
+            f'<polyline class="path" points="{" ".join(points)}" fill="none" '
+            'stroke="crimson" stroke-width="2" stroke-dasharray="6 4"/>'
+        )
+
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode()
+
+
+def per_box_render_ascii(d: PlatDiagram, path) -> bytes:
+    """ASCII render of d, one character list per row written box by box."""
+    entries, ps = _positions(d, path)
+
+    def col(x: int) -> int:
+        return 2 + 4 * (x - 1)
+
+    width = col(2 * d.n) + 3
+
+    def strand_line() -> list[str]:
+        line = [" "] * width
+        for x in range(1, 2 * d.n + 1):
+            line[col(x)] = "│"
+        return line
+
+    def cap_line(top: bool) -> str:
+        line = [" "] * width
+        l, r = ("╭", "╮") if top else ("╰", "╯")
+        for j in range(1, d.n + 1):
+            a, b = col(2 * j - 1), col(2 * j)
+            line[a] = l
+            line[b] = r
+            for c in range(a + 1, b):
+                line[c] = "─"
+        return "".join(line)
+
+    lines = []
+    if ps is not None:
+        lines.append("path: (" + ", ".join(str(a) for a in entries) + ")")
+    lines.append(cap_line(True))
+    for i in range(1, d.m + 1):
+        lines.append("".join(strand_line()))
+        boxrow = strand_line()
+        for j in range(1, d.row_length(i) + 1):
+            s, t = box_strands(i, j)
+            a, b = col(s) - 1, col(t) + 1
+            label = str(d.box(i, j)).center(b - a - 1)
+            boxrow[a] = "["
+            boxrow[b] = "]"
+            boxrow[a + 1 : b] = list(label)
+        if ps is not None:
+            marker = col(ps[i - 1]) + 2
+            if boxrow[marker] == " ":
+                boxrow[marker] = "┊"
+        lines.append("".join(boxrow))
+    lines.append("".join(strand_line()))
+    lines.append(cap_line(False))
+    return ("\n".join(lines) + "\n").encode()

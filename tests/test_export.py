@@ -18,6 +18,7 @@ from platsurf import (
     to_braid_word,
     to_pd_code,
 )
+from platsurf import export
 from platsurf.export import pd_validate
 from helpers import (
     DELTA,
@@ -25,6 +26,7 @@ from helpers import (
     bracket_from_plat,
     laurent_mul,
     mirror,
+    per_crossing_pd_code,
     plat_cycle_count,
     random_all_twist,
     random_mixed,
@@ -145,6 +147,16 @@ def test_pd_refuses_a_twist_past_the_crossing_limit():
         to_pd_code(make_diagram(3, 1, [[10**12, 0]]))
 
 
+def test_pd_crossing_limit_is_inclusive(monkeypatch):
+    d = make_diagram(3, 1, [[3, 0]])
+    monkeypatch.setattr(export, "MAX_PD_CROSSINGS", 3)
+    assert to_pd_code(d).crossing_count == 3
+    monkeypatch.setattr(export, "MAX_PD_CROSSINGS", 2)
+    with pytest.raises(ParameterError) as exc:
+        to_pd_code(d)
+    assert str(exc.value) == "diagram has 3 crossings; PD codes are limited to 2"
+
+
 def test_pd_rejects_rational_boxes():
     with pytest.raises(UnsupportedBoxError, match="rational"):
         to_pd_code(make_diagram(3, 1, [[3, [1, 2]]]))
@@ -172,13 +184,45 @@ def test_pd_validate_rejects_bad_codes():
     for what, quads in bad.items():
         with pytest.raises(MalformedPDCodeError, match="^malformed PD code: label counts"):
             pd_validate(PDCode(quads))
-    # no label count can be taken of these: an unhashable label, or a crossing no sequence
-    for quads in ((1, [2], 1, [2]),), ((1, 1, 2, {}),), (1,):
+    # no label count can be taken of these: an unhashable label, or a crossing no
+    # sequence; and a bool is no int label, though True counts as 1
+    for quads in ((1, [2], 1, [2]),), ((1, 1, 2, {}),), (1,), ((True, 2, 1, 2),):
         with pytest.raises(MalformedPDCodeError, match="^malformed PD code:"):
             pd_validate(PDCode(quads))
+    # PDCode takes its crossings as 4-tuples, so a one-shot iterator is read once
+    code = PDCode((iter((1, 1, 2, 2)),))
+    assert code.crossings == ((1, 1, 2, 2),)
+    pd_validate(code)
     with pytest.raises(MalformedPDCodeError) as exc:
         pd_validate(PDCode(bad["negative label"]))
     assert str(exc.value) == "malformed PD code: label counts [(-1, 1), (1, 2), (2, 1)]"
+
+
+def test_pd_code_input_is_a_code_or_malformed():
+    # arbitrary nested input either builds a code, which pd_validate passes or
+    # refuses, or is refused when built: never another exception
+    rng = random.Random(101)
+    atoms = [1, 2, 3, 0, -1, True, 2.0, "a", None, [1], {}, (1, 2)]
+
+    def crossing():
+        quad = [rng.choice((1, 2, 3, 4)) if rng.random() < 0.8 else rng.choice(atoms)
+                for _ in range(rng.choice((4, 4, 4, 3, 5)))]
+        return rng.choice((tuple, list, iter))(quad) if rng.random() < 0.9 else rng.choice(atoms)
+
+    built = 0
+    for _ in range(2000):
+        crossings = [crossing() for _ in range(rng.randint(0, 2))]
+        try:
+            code = PDCode(rng.choice((tuple, list, iter))(crossings))
+        except MalformedPDCodeError:
+            continue
+        built += 1
+        assert all(type(x) is int for quad in code.crossings for x in quad)
+        try:
+            pd_validate(code)
+        except MalformedPDCodeError:
+            pass
+    assert built > 500, built
 
 
 def test_pd_validate_raises_a_package_error():
@@ -234,6 +278,22 @@ def test_pd_code_matches_sweep_oracle_at_ladder_sizes():
         assert any(b.a == 0 for _, _, b in d.boxes())
         assert any(b.a < 0 for _, _, b in d.boxes())
         assert to_pd_code(d).text() == sweep_pd_code(d).text()
+
+
+def test_pd_code_matches_the_per_crossing_walk():
+    # byte for byte against the walk that labels one crossing end at a time,
+    # zero boxes, negative twists and diagrams without crossings included
+    rng = random.Random(89)
+    refused = 0
+    for _ in range(400):
+        d = random_all_twist(rng, rng.randint(1, 9), rng.choice(range(1, 14, 2)), spread=7)
+        mine = _pd_text_or_refusal(to_pd_code, d)
+        assert mine == _pd_text_or_refusal(per_crossing_pd_code, d), d
+        if isinstance(mine, tuple):
+            refused += 1
+        else:
+            assert to_pd_code(d) == per_crossing_pd_code(d)
+    assert 0 < refused < 40, refused
 
 
 def test_pd_labels_run_consecutively_from_one():

@@ -1,8 +1,12 @@
 """SVG and ASCII rendering."""
 
+import math
+import random
+
 import pytest
 
 from platsurf import ParameterError, PathError, make_diagram, random_diagram, render
+from helpers import per_box_render_ascii, per_box_render_svg, row_len
 
 ALL_THREES = [[3, 3], [3, 3, 3], [3, 3]]
 
@@ -98,3 +102,87 @@ def test_ascii_always_aligned():
         d = random_diagram(3 + seed % 3, (1, 3, 5)[seed % 3], seed=seed)
         lines = render(d, fmt="ascii").decode().splitlines()
         assert len({len(line) for line in lines}) == 1
+
+
+def test_ascii_frozen_wide_labels():
+    # a label wider than five characters writes its box from the box's own
+    # column on and pushes the rest of the row right; the next box is still
+    # drawn from its own column, over whatever the push left there
+    out = render(make_diagram(3, 1, [[[-11, 13], 3]]), (1,), fmt="ascii")
+    assert out.decode() == (
+        "path: (1)\n"
+        "  ╭───╮   ╭───╮   ╭───╮  \n"
+        "  │   │   │   │   │   │  \n"
+        "  │  [-11/13][  3  ]   │  \n"
+        "  │   │   │   │   │   │  \n"
+        "  ╰───╯   ╰───╯   ╰───╯  \n"
+    )
+    rows = [[123456, [-11, 13], 2], [1, -1234567, 3, [1, 3]], [2, 0, 10**12]]
+    out = render(make_diagram(4, 3, rows), (1, 2, 1), fmt="ascii")
+    assert out.decode() == (
+        "path: (1, 2, 1)\n"
+        "  ╭───╮   ╭───╮   ╭───╮   ╭───╮  \n"
+        "  │   │   │   │   │   │   │   │  \n"
+        "  │  [123456][-11/13][  2  ]│   │  \n"
+        "  │   │   │   │   │   │   │   │  \n"
+        " [  1  ] [-123456[  3  ] [ 1/3 ] │  \n"
+        "  │   │   │   │   │   │   │   │  \n"
+        "  │  [  2  ]┊[  0  ] [1000000000000]  │  \n"
+        "  │   │   │   │   │   │   │   │  \n"
+        "  ╰───╯   ╰───╯   ╰───╯   ╰───╯  \n"
+    )
+
+
+def test_ascii_frozen_single_strand_pair():
+    # n = 1: the odd rows hold no boxes and draw as bare strands
+    assert render(make_diagram(1, 3, [[], [5], []]), fmt="ascii").decode() == (
+        "  ╭───╮  \n"
+        "  │   │  \n"
+        "  │   │  \n"
+        "  │   │  \n"
+        " [  5  ] \n"
+        "  │   │  \n"
+        "  │   │  \n"
+        "  │   │  \n"
+        "  ╰───╯  \n"
+    )
+    assert render(make_diagram(1, 1, [[]]), fmt="ascii").decode() == (
+        "  ╭───╮  \n"
+        "  │   │  \n"
+        "  │   │  \n"
+        "  │   │  \n"
+        "  ╰───╯  \n"
+    )
+
+
+def _random_boxes_and_path(rng):
+    """A diagram of twists -7..7 and rational boxes, labels wider than five
+    characters among them, and an allowable path on it or None."""
+    n, m = rng.randint(1, 9), rng.choice(range(1, 14, 2))
+    rows = []
+    for i in range(1, m + 1):
+        row = []
+        for _ in range(row_len(n, i)):
+            p, q = rng.randint(-13, 13), rng.randint(-13, 13)
+            row.append((p, q) if rng.random() < 0.3 and math.gcd(p, q) == 1 else rng.randint(-7, 7))
+        rows.append(row)
+    if n <= 2 or rng.random() < 0.5:
+        return make_diagram(n, m, rows), None
+    entries = [rng.randint(1, n - 2)]
+    for i in range(1, m):  # the step rule from row i to row i + 1
+        prev = entries[-1]
+        steps = (prev, prev + 1) if i % 2 == 1 else (prev - 1, prev)
+        entries.append(rng.choice([a for a in steps if 1 <= a <= row_len(n, i + 1) - 1]))
+    return make_diagram(n, m, rows), tuple(entries)
+
+
+def test_renders_match_the_per_box_oracles():
+    rng = random.Random(97)
+    wide = paths = 0
+    for _ in range(400):
+        d, path = _random_boxes_and_path(rng)
+        assert render(d, path, "svg") == per_box_render_svg(d, path), (d, path)
+        assert render(d, path, "ascii") == per_box_render_ascii(d, path), (d, path)
+        wide += any(len(str(box)) > 5 for _, _, box in d.boxes())
+        paths += path is not None
+    assert wide > 100 and paths > 100, (wide, paths)
