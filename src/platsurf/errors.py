@@ -35,4 +35,5 @@ class UnsupportedBoxError(PlatError):
 
 
 class MalformedPDCodeError(PlatError):
-    """A PD code's arc labels do not each appear exactly twice."""
+    """A PD code's crossing is not four int labels, or its arc labels do not
+    each appear exactly twice."""

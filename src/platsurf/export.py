@@ -33,8 +33,9 @@ written; its labels are then written in one run over its crossings,
 through the passes in reverse when the walk must be read the other way.
 A negative crossing ranks its ports a quarter turn on, so the
 under-strand always holds ranks 0 and 2 and X(...) is read from one of
-them.  A caller's ``PDCode`` must hold int 4-tuples; ``to_pd_code``
-skips that scan, and ``pd_validate`` checks every code it returns.
+them.  ``PDCode`` refuses a crossing that is not four int labels and
+``pd_validate`` counts the labels; ``to_pd_code`` builds int labels, so
+it skips ``PDCode``'s scan, and runs ``pd_validate`` on every code.
 
 A component that never enters a crossed box (possible when all its
 boxes are zero twists) has no place in a PD code; such components are
@@ -50,6 +51,7 @@ list is built.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain, repeat
 from typing import Iterable
 
@@ -126,8 +128,11 @@ class PDCode(Record):
             raise MalformedPDCodeError(
                 f"malformed PD code: crossings {crossings!r} are not sequences of labels"
             ) from None
-        if not all(len(q) == 4 and all(type(x) is int for x in q) for q in quads):
-            raise _malformed(quads)
+        for q in quads:
+            if len(q) != 4 or not all(type(x) is int for x in q):
+                raise MalformedPDCodeError(
+                    f"malformed PD code: crossing {q!r} is not four int labels"
+                )
         set_field(self, "crossings", quads)
 
     @property
@@ -139,24 +144,6 @@ class PDCode(Record):
         return ("PD[" + ", ".join([quad] * len(self.crossings)) + "]") % tuple(
             chain.from_iterable(self.crossings)
         )
-
-
-def _malformed(crossings) -> MalformedPDCodeError:
-    """The error naming a crossing with an unhashable label, or the counts."""
-    seen: dict = {}
-    for quad in crossings:
-        try:
-            for label in quad:
-                seen[label] = seen.get(label, 0) + 1
-        except TypeError:  # an unhashable label
-            return MalformedPDCodeError(
-                f"malformed PD code: crossing {quad!r} is not four int labels"
-            )
-    try:
-        counts_seen = sorted(seen.items())
-    except TypeError:  # labels that do not order, as None or "a" beside ints
-        counts_seen = list(seen.items())
-    return MalformedPDCodeError(f"malformed PD code: label counts {counts_seen}")
 
 
 def pd_trace_components(code: PDCode) -> int:
@@ -182,24 +169,23 @@ def pd_trace_components(code: PDCode) -> int:
 def pd_validate(code: PDCode) -> None:
     """Raise if any arc label fails to appear exactly twice.
 
-    The labels are counted in a bytearray, which decides the verdict; the
-    counts for the message are gathered only when the code is malformed.
+    ``PDCode`` has checked that every label is an int.  One bytearray pass
+    counts them and decides the verdict; the counts for the message are
+    gathered only when the code is malformed.
     """
     labels = 2 * len(code.crossings)
     counts = bytearray(labels + 1)  # by label
     try:
-        for a, b, c, d in code.crossings:
-            counts[a] += 1
-            counts[b] += 1
-            counts[c] += 1
-            counts[d] += 1
-    except (IndexError, TypeError, ValueError):
-        pass  # past 2C, not four ints, or seen 256 times
+        for label in chain.from_iterable(code.crossings):
+            counts[label] += 1
+    except (IndexError, ValueError):
+        pass  # past 2C, or seen 256 times
     else:
         # a label below 1 counts for 0 or, from the top, for another label
         if counts.count(2) == labels and min(map(min, code.crossings), default=1) > 0:
             return
-    raise _malformed(code.crossings)
+    seen = sorted(Counter(chain.from_iterable(code.crossings)).items())
+    raise MalformedPDCodeError(f"malformed PD code: label counts {seen}")
 
 
 def to_pd_code(d: PlatDiagram) -> PDCode:

@@ -88,6 +88,9 @@ def test_validate_malformed_inputs(tmp_path, capsys):
           for m in (0, -1, True, 3.0)),
         ({"n": 3, "m": 1, "rows": [3, 3]}, "rows must be a list of lists"),
         ({"n": 3, "m": 1, "rows": "3,3"}, "rows must be a list of lists"),
+        # a str beside an int partner never reaches the box-count check
+        ({"n": "3", "m": 3, "rows": ALL_THREES}, "n must be a positive int, got '3'"),
+        ({"n": 3, "m": "3", "rows": ALL_THREES}, "m must be a positive int, got '3'"),
     ):
         with pytest.raises(MalformedDiagramError, match=f"^{re.escape(message)}$"):
             from_json_dict(doc)

@@ -176,6 +176,17 @@ def test_random_diagram_parity_flag():
         assert check_hypotheses(d).passed
 
 
+def test_random_diagram_parity_draws_an_odd_twist_from_3_to_max_twist():
+    # no odd row ends in an odd twist, so the adjustment redraws the last box of
+    # row 1 from the odd values 3..max_twist; with max_twist even, drawing from
+    # 3..7 or from 5 alone would give other rows
+    plain = random_diagram(3, 3, max_twist=6, seed=5)
+    assert [[box.a for box in row] for row in plain.rows] == [[5, -6], [6, -6, -6], [-3, 6]]
+    d = random_diagram(3, 3, max_twist=6, seed=5, require_parity=True)
+    assert [[box.a for box in row] for row in d.rows] == [[5, 3], [6, -6, -6], [-3, 6]]
+    assert parity_criterion(d).value is True
+
+
 def test_random_diagram_parameter_errors():
     with pytest.raises(ParameterError):
         random_diagram(2, 3)
