@@ -33,8 +33,9 @@ a twist box); ``PlatDiagram`` gathers them into ``slope_table``, one
 ``check_hypotheses`` scans each row once, for inner codes 0-2 (level 0).
 ``tangles`` loads only where slopes are wanted as fractions, in
 ``box_fraction`` and ``surgery``.  A diagram keeps its digest, and
-``topology.build_topology`` keeps the labels of its link components on
-it.  A diagram has at most ``MAX_BOXES`` boxes.
+``topology.build_topology`` keeps on it the labels of its link
+components, made in one pass down ``slope_table``.  A diagram has at
+most ``MAX_BOXES`` boxes.
 """
 
 from __future__ import annotations

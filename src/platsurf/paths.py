@@ -222,13 +222,18 @@ def _odd_row_counts(n: int, m: int) -> Iterator[list[int]]:
 
 
 def count_allowable(n: int, m: int) -> int:
-    """Exact number of allowable paths on the (n, m) shape, 0 when n <= 2:
-    the sum over the last odd row of ``_odd_row_counts``, O(m * n) big integer additions."""
+    """Exact number of allowable paths on the (n, m) shape, 0 when n <= 2.
+    The step rule reads the same upward, so as many paths reach each entry of
+    the middle row k + 1, k = m // 2, from below as from above: the count is
+    the sum of their squares, carried down k rows, about m * n / 2 additions."""
     if m < 1 or m % 2 == 0:
         raise ParameterError("m must be odd and positive")
-    for odd in _odd_row_counts(n, m):
+    k = m // 2
+    for v in _odd_row_counts(n, k):  # ends at row k + 1 when k is even, else row k
         pass
-    return sum(odd)
+    if k & 1:  # the middle row is even: one step more
+        v = [a + b for a, b in zip([0, *v], [*v, 0])]
+    return sum(x * x for x in v)
 
 
 def extremal_paths(d: PlatDiagram) -> tuple[AllowablePath, AllowablePath]:

@@ -25,22 +25,24 @@ A caps-paired box turns the walk around, and the ``^ 1`` step follows
 without a case of its own.  ``_end_links`` fills every straight join
 with two slice assignments, one for the top ends and one for the bottom
 ends, then overwrites the caps and the joins of each non-identity box,
-moving along a row by a running end offset.
+moving along a row by a running end offset.  Only ``_cycles`` walks the
+matching, from each component's smallest segment (found with
+``bytearray.find``) leaving downward; ``component_cycles`` records that
+walk with each connector it crosses, and the PD code reads it too.
 
-``build_topology`` starts every segment's label at -1 and finds the next
-unlabelled segment with ``list.index``, so segments are scanned in index
-order; it walks that segment's cycle leaving it downward, labelling each
-segment as the walk leaves it.  Each component is thus found from its
-smallest segment, and the ids come out canonical: components ordered by
-their smallest segment, numbered from 0.
+``build_topology`` labels segments in one pass down the rows instead,
+keeping a class per strand of the current gap.  Gap 0 gives top cap j
+class j - 1.  A row copies the classes down, swaps the two under a
+swap-paired box, and under a caps-paired box joins the two above (a
+union-find rooted at the smaller class) and gives the two below a new
+class; the bottom caps join last.  Classes are made in order of their
+first segment, which is their smallest, so each component's smallest
+segment starts its root class: numbered in that order, the roots give
+the canonical ids, components ordered by their smallest segment from 0.
 The flat list of segment labels and each component's start segment are
-kept on the diagram, like its slope table, so the link is walked once
+kept on the diagram, like its slope table, so the rows are passed once
 per diagram instance.  ``LinkTopology`` is a view over the two lists;
 ``components``, the segment sets, is built from the labels on each access.
-``component_cycles`` records the same walk, reading each connector
-(cap, box or straight stretch) off the end it leaves by; its walk,
-``_cycles``, which the PD code also reads, finds each start with
-``bytearray.find``.
 
 ``braid_permutation`` gives an independent route to the same count: the
 permutation that the rows induce on strand positions, read top to
@@ -196,32 +198,54 @@ class LinkTopology:
         return self.component_of(self.m, 2 * j - 1)
 
 
+def _row_labels(d: PlatDiagram) -> tuple[list[int], list[int]]:
+    """``build_topology``'s labels and starts, from one pass down the rows."""
+    w = 2 * d.n
+    cur = [x >> 1 for x in range(w)]  # by strand, its class in the current gap
+    first = list(range(0, w, 2))  # by class, its first and smallest segment
+    parent = list(range(d.n))  # by class, a smaller class joined to it, or itself
+
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]  # path halving
+            c = parent[c]
+        return c
+
+    def join(a: int, b: int) -> None:
+        a, b = sorted((root(a), root(b)))
+        parent[b] = a
+
+    flat = cur[:]
+    for i, codes in enumerate(d.slope_table, 1):
+        s = i & 1  # the row's first box is over strands s, s + 1, from 0
+        for code in codes:
+            kind = code % 3
+            if kind == SWAP:
+                cur[s], cur[s + 1] = cur[s + 1], cur[s]
+            elif kind == CAPS:  # the upper ends meet; the lower ones start a class
+                join(cur[s], cur[s + 1])
+                cur[s] = cur[s + 1] = len(parent)
+                parent.append(len(parent))
+                first.append(i * w + s)
+            s += 2
+        flat += cur
+    for x in range(0, w, 2):
+        join(cur[x], cur[x + 1])
+    roots = [c for c, p in enumerate(parent) if c == p]
+    rank = dict(zip(roots, range(len(roots))))
+    ids = [rank[root(c)] for c in range(len(parent))]
+    return list(map(ids.__getitem__, flat)), [first[r] for r in roots]
+
+
 def build_topology(d: PlatDiagram) -> LinkTopology:
-    """Label every segment of d with its component, walking each cycle once.
+    """Label every segment of d with its component, one row at a time.
 
     The labels are kept on d itself, not in a cache, and are freed with d.
     """
     try:
         label, starts = d.__dict__["_components"]
     except KeyError:
-        link = _end_links(d)
-        label = [-1] * (len(link) >> 1)
-        starts = []
-        seg = 0
-        while True:
-            try:
-                seg = label.index(-1, seg)
-            except ValueError:
-                break
-            cid = len(starts)
-            starts.append(seg)
-            e = start = 2 * seg + 1
-            while True:
-                label[e >> 1] = cid
-                e = link[e] ^ 1
-                if e == start:
-                    break
-        d.__dict__["_components"] = label, starts
+        label, starts = d.__dict__["_components"] = _row_labels(d)
     return LinkTopology(d, label, starts)
 
 

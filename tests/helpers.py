@@ -3,15 +3,17 @@
 Each function here recomputes something the library also computes, by a
 different route: brute-force enumeration instead of recursive descent,
 generic segment intersection instead of the closed-form crossing count,
-a permutation pairing graph and union-find on segments instead of the
-walk over segment ends, a run-counting walk along each component
-instead of side thresholds, and a top-to-bottom sweep of arc labels
-instead of the component walk for PD codes, a loop over every box
-reading its denominator instead of the row scan of the slope table for
-the hypotheses, and the Kauffman bracket of a PD code checked against a
-Temperley-Lieb sweep of the plat itself.  The last section keeps the
-per-crossing PD walk and the box-by-box renders as byte oracles for the
-library's row-at-a-time routines.
+a permutation pairing graph, union-find on segments and a walk over
+segment ends instead of the row pass over strand classes, a path count
+carried through every row instead of the half-way count, a
+run-counting walk along each component instead of side thresholds, and
+a top-to-bottom sweep of arc labels instead of the component walk for
+PD codes, a loop over every box reading its denominator instead of the
+row scan of the slope table for the hypotheses, and the Kauffman
+bracket of a PD code checked against a Temperley-Lieb sweep of the plat
+itself.  The last section keeps the per-crossing PD walk and the
+box-by-box renders as byte oracles for the library's row-at-a-time
+routines.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import random
 from platsurf import ParameterError, PDCode, PlatDiagram, Twist, UnsupportedBoxError, make_diagram
 from platsurf.diagram import box_denominator, box_strands
 from platsurf.export import MAX_PD_CROSSINGS, _require_all_twist, pd_validate
-from platsurf.paths import allowable_entries, corridor_positions
-from platsurf.topology import _cycles, build_topology, component_cycles
+from platsurf.paths import _odd_row_counts, allowable_entries, corridor_positions
+from platsurf.topology import _cycles, _end_links, build_topology, component_cycles
 
 
 def row_len(n: int, i: int) -> int:
@@ -52,6 +54,14 @@ def brute_force_paths(n: int, m: int) -> list[tuple[int, ...]]:
     """Filter the full product space by the step rule."""
     ranges = [range(1, row_len(n, i)) for i in range(1, m + 1)]
     return [e for e in itertools.product(*ranges) if step_rule_ok(n, e)]
+
+
+def per_row_count(n: int, m: int) -> int:
+    """Allowable paths on the (n, m) shape, carrying every odd row's counts
+    down to the last row and summing them."""
+    for odd in _odd_row_counts(n, m):
+        pass
+    return sum(odd)
 
 
 def per_box_hypotheses(d: PlatDiagram, mode: str) -> dict:
@@ -210,6 +220,29 @@ def union_find_components(d: PlatDiagram) -> list[list[tuple[int, int]]]:
     for v in parent:
         groups.setdefault(find(v), []).append(v)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+
+def walk_labels(d: PlatDiagram) -> tuple[list[int], list[int]]:
+    """Each segment's component id and each component's start segment, by
+    walking the end matching: the next unlabelled segment in index order
+    starts a component, whose cycle is walked leaving that segment downward."""
+    link = _end_links(d)
+    label = [-1] * (len(link) >> 1)
+    starts: list[int] = []
+    seg = 0
+    while True:
+        try:
+            seg = label.index(-1, seg)
+        except ValueError:
+            return label, starts
+        cid = len(starts)
+        starts.append(seg)
+        e = start = 2 * seg + 1
+        while True:
+            label[e >> 1] = cid
+            e = link[e] ^ 1
+            if e == start:
+                break
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from platsurf import (
     random_diagram,
 )
 from platsurf.paths import MAX_PATHS, PathCheck, allowable_entries
-from helpers import brute_force_paths, polyline_crossing_count, row_len
+from helpers import brute_force_paths, per_row_count, polyline_crossing_count, row_len
 
 
 def _shape(n, m):
@@ -57,6 +57,12 @@ def test_count_matches_enumeration_and_brute_force():
         assert count_allowable(3, m) == 2 ** ((m - 1) // 2)
     with pytest.raises(ParameterError, match="m must be odd and positive"):
         count_allowable(4, 4)
+
+
+def test_half_way_count_equals_the_count_through_every_row():
+    for n in range(1, 17):
+        for m in range(1, 62, 2):
+            assert count_allowable(n, m) == per_row_count(n, m), (n, m)
 
 
 def test_enumeration_is_limited_before_any_path_is_built():

@@ -25,9 +25,10 @@ from platsurf import (
     random_diagram,
     topology,
 )
+from platsurf.cli import main
 from platsurf.topology import component_cycles
 from helpers import plat_cycle_count, random_all_twist, random_shape, trace_sides
-from helpers import random_mixed, union_find_components
+from helpers import random_mixed, row_len, union_find_components, walk_labels
 
 
 def test_straight_through_diagram_components():
@@ -112,6 +113,42 @@ def test_components_match_union_find_oracle():
         assert [sorted(c) for c in t.components] == union_find_components(d), d
         for cid, comp in enumerate(t.components):
             assert all(t.component_of(g, x) == cid for g, x in comp)
+
+
+def _caps_column(rng, n, m, j):
+    """Caps boxes at box j of every odd row, twist boxes elsewhere."""
+    rows = [[rng.randint(-3, 3) for _ in range(row_len(n, i))] for i in range(1, m + 1)]
+    for row in rows[::2]:
+        row[j - 1] = (0, 1)
+    return make_diagram(n, m, rows)
+
+
+def test_row_pass_labels_equal_the_end_walk():
+    rng = random.Random(53)
+    corpus = [
+        random_mixed(rng, n, m)
+        for n in range(1, 9)
+        for m in range(1, 12, 2)
+        for _ in range(6)
+    ]
+    corpus += [
+        _caps_column(rng, n, m, j)
+        for n in range(2, 7)
+        for m in range(3, 12, 2)
+        for j in range(1, n)
+    ]
+    # caps boxes over caps boxes, two odd rows apart, with the even row
+    # between passing straight: closed loops that never reach gap 0
+    loops = [
+        make_diagram(3, 3, [[(0, 1), (0, 1)], [0, 2, 0], [(0, 1), (0, 1)]]),
+        make_diagram(4, 5, [[(2, 1)] * 3, [0] * 4, [(0, 1)] * 3, [2] * 4, [(-2, 3)] * 3]),
+    ]
+    corpus += [*loops, random_diagram(200, 201, seed=1)]
+    for d in loops:
+        assert min(build_topology(d)._starts[1:]) >= 2 * d.n
+    for d in corpus:
+        t = build_topology(d)
+        assert (t._label, t._starts) == walk_labels(d), d
 
 
 def test_reflection_preserves_component_count():
@@ -267,19 +304,37 @@ def test_sphere_path_must_be_allowable():
 
 
 def test_build_topology_is_cached(monkeypatch):
-    walks = []
-    end_links = topology._end_links
+    passes = []
+    row_labels = topology._row_labels
 
     def counted(d):
-        walks.append(d)
-        return end_links(d)
+        passes.append(d)
+        return row_labels(d)
 
-    monkeypatch.setattr(topology, "_end_links", counted)
+    monkeypatch.setattr(topology, "_row_labels", counted)
     d = make_diagram(3, 3, [[3, 3], [3, 3, 3], [3, 3]])
     first = build_topology(d)
     again = build_topology(d)
-    assert walks == [d]
+    assert passes == [d]
     assert again.diagram is d and again.components == first.components
+
+
+def test_certificates_never_build_the_end_matching(monkeypatch, tmp_path):
+    # the end matching serves component_cycles and the PD code only
+    def refuse(d):
+        raise AssertionError("_end_links called")
+
+    monkeypatch.setattr(topology, "_end_links", refuse)
+
+    def fresh():
+        return random_diagram(4, 5, seed=2, require_parity=True)
+
+    k = build_topology(fresh()).component_count
+    assert certify(fresh()).certified
+    assert certify_haken(fresh(), (Slope(3, 1),) * k).certified
+    path = tmp_path / "d.json"
+    path.write_text(diagram_to_json(fresh()))
+    assert main(["info", str(path)]) == 0
 
 
 def test_a_diagram_is_freed_with_its_topology():
