@@ -28,14 +28,15 @@ Everything the hypotheses and the link walk need of a box fits in one
 byte, ``3 * min(q, 3) + code``, where ``code`` is 0, 1 or 2 for the
 through-identity, through-swap and caps pairing (``Pairing`` order).
 A box computes its byte once, when built, from its slope p/q (1/a for
-a twist box); ``PlatDiagram`` gathers them into ``slope_table``, one
-``bytes`` per row, and sets ``is_all_twist`` as it checks the box types.
+a twist box), and with it its canonical JSON text (``3``, ``[1,2]``);
+``PlatDiagram`` gathers the bytes into ``slope_table``, one ``bytes``
+per row, and sets ``is_all_twist`` as it checks the box types.
 ``check_hypotheses`` scans each row once, for inner codes 0-2 (level 0).
 ``tangles`` loads only where slopes are wanted as fractions, in
-``box_fraction`` and ``surgery``.  A diagram keeps its digest, and
-``topology.build_topology`` keeps on it the labels of its link
-components, made in one pass down ``slope_table``.  A diagram has at
-most ``MAX_BOXES`` boxes.
+``box_fraction`` and ``surgery``.  A diagram keeps its digest, which
+joins its box texts a row at a time, and ``topology.build_topology``
+keeps on it the labels of its link components, made in one pass down
+``slope_table``.  A diagram has at most ``MAX_BOXES`` boxes.
 """
 
 from __future__ import annotations
@@ -71,17 +72,25 @@ def _slope_code(p: int, q: int) -> int:
     return 3 * min(abs(q), 3) + (q & 1 if p & 1 else CAPS)
 
 
+def _int_text(fmt: str, *ints: int) -> str | None:
+    try:  # None past the interpreter's int-to-text digit limit
+        return fmt % ints
+    except ValueError:
+        return None
+
+
 class Twist(Record):
     """A box of ``a`` half twists between two adjacent strands."""
 
     _fields = ("a",)
-    __slots__ = ("a", "_code")  # the slope code is no field: repr, ==, hash, copies skip it
+    __slots__ = ("a", "_code", "_json")  # slope code, JSON text: no fields, so repr, ==, hash skip
 
     def __init__(self, a: int) -> None:
         if isinstance(a, bool) or not isinstance(a, int):
             raise MalformedDiagramError(f"twist count must be an int, got {a!r}")
         set_field(self, "a", a)
         set_field(self, "_code", _slope_code(1, a))
+        set_field(self, "_json", _int_text("%d", a))
 
     def __str__(self) -> str:
         return str(self.a)
@@ -91,7 +100,7 @@ class Rational(Record):
     """A box holding the rational tangle of slope p/q."""
 
     _fields = ("p", "q")
-    __slots__ = ("p", "q", "_code")
+    __slots__ = ("p", "q", "_code", "_json")
 
     def __init__(self, p: int, q: int) -> None:
         for v in (p, q):
@@ -104,6 +113,7 @@ class Rational(Record):
         set_field(self, "p", p)
         set_field(self, "q", q)
         set_field(self, "_code", _slope_code(p, q))
+        set_field(self, "_json", _int_text("[%d,%d]", p, q))
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -112,6 +122,7 @@ class Rational(Record):
 TangleBox = Union[Twist, Rational]
 _BOX_TYPES = frozenset((Twist, Rational))
 _code_of = operator.attrgetter("_code")
+_json_of = operator.attrgetter("_json")
 
 
 def box_fraction(box: TangleBox) -> TangleFraction:
@@ -439,4 +450,8 @@ def diagram_from_json(text: str) -> PlatDiagram:
 
 def canonical_diagram_bytes(d: PlatDiagram) -> bytes:
     """Compact, key-sorted JSON encoding used for digests."""
-    return json.dumps(to_json_dict(d), sort_keys=True, separators=(",", ":")).encode()
+    try:
+        rows = "],[".join([",".join(map(_json_of, row)) for row in d.rows])
+    except TypeError:  # a box past the digit limit keeps None: json.dumps raises ValueError
+        return json.dumps(to_json_dict(d), sort_keys=True, separators=(",", ":")).encode()
+    return ('{"m":%d,"n":%d,"rows":[[%s]]}' % (d.m, d.n, rows)).encode()

@@ -13,17 +13,19 @@ row scan of the slope table for the hypotheses, and the Kauffman
 bracket of a PD code checked against a Temperley-Lieb sweep of the plat
 itself.  The last section keeps the per-crossing PD walk and the
 box-by-box renders as byte oracles for the library's row-at-a-time
-routines.
+routines, and ``json.dumps`` over the whole box table as the byte
+oracle for the digest encoding joined from each box's kept text.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 
 from platsurf import ParameterError, PDCode, PlatDiagram, Twist, UnsupportedBoxError, make_diagram
-from platsurf.diagram import box_denominator, box_strands
+from platsurf.diagram import box_denominator, box_strands, to_json_dict
 from platsurf.export import MAX_PD_CROSSINGS, _require_all_twist, pd_validate
 from platsurf.paths import _odd_row_counts, allowable_entries, corridor_positions
 from platsurf.topology import _cycles, _end_links, build_topology, component_cycles
@@ -819,3 +821,8 @@ def per_box_render_ascii(d: PlatDiagram, path) -> bytes:
     lines.append("".join(strand_line()))
     lines.append(cap_line(False))
     return ("\n".join(lines) + "\n").encode()
+
+
+def canonical_json_bytes(d: PlatDiagram) -> bytes:
+    """The digest encoding written by ``json.dumps`` from the box table, box by box."""
+    return json.dumps(to_json_dict(d), sort_keys=True, separators=(",", ":")).encode()

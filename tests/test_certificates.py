@@ -15,12 +15,17 @@ from platsurf import (
     Twist,
     certificate_json,
     certify,
+    certify_haken,
     diagram_digest,
     extremal_paths,
     make_diagram,
+    parse_slopes,
     random_diagram,
 )
+from platsurf import diagram
 from platsurf.surgery import MODE_SURGERY
+
+from helpers import canonical_json_bytes
 
 ALL_THREES = [[3, 3], [3, 3, 3], [3, 3]]
 
@@ -55,6 +60,24 @@ def test_certificate_digest_is_sha256_of_canonical_form():
     assert diagram_digest(d) == certify(d).digest
     other = make_diagram(3, 3, [[3, 3], [3, 3, 3], [3, 4]])
     assert diagram_digest(other) != diagram_digest(d)
+
+
+def test_digest_is_joined_from_the_box_texts(monkeypatch):
+    # the digest joins the boxes' kept texts: it must not rebuild the box table
+    def refuse(d):
+        raise AssertionError("to_json_dict is not on the digest route")
+
+    monkeypatch.setattr(diagram, "to_json_dict", refuse)
+    rows = [[3, (1, 3)], [0, -3, -4], [-3, (-5, 3)]]
+
+    def fresh():
+        return make_diagram(3, 3, rows)
+
+    want = hashlib.sha256(canonical_json_bytes(fresh())).hexdigest()
+    assert fresh().digest == want
+    cert = certify(fresh())
+    assert cert.digest == want and cert.certified
+    assert certify_haken(fresh(), parse_slopes("3/1,1/0")).digest == want
 
 
 def test_relaxed_mode_covers_smaller_ends():

@@ -1,6 +1,7 @@
 """Diagram structure, hypotheses, random generation, serialization."""
 
 import copy
+import enum
 import json
 import math
 import pickle
@@ -29,10 +30,18 @@ from platsurf import (
     pairing_by_tracing,
     random_diagram,
 )
-from platsurf.diagram import MAX_BOXES, RELAXED, STRICT, from_json_dict, row_length, to_json_dict
+from platsurf.diagram import (
+    MAX_BOXES,
+    RELAXED,
+    STRICT,
+    canonical_diagram_bytes,
+    from_json_dict,
+    row_length,
+    to_json_dict,
+)
 from platsurf.surgery import parity_criterion
 
-from helpers import per_box_hypotheses, random_all_twist, random_mixed
+from helpers import canonical_json_bytes, per_box_hypotheses, random_all_twist, random_mixed
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -328,6 +337,46 @@ def test_parse_rejects_what_it_did_before():
 
     d = make_diagram(3, 1, [[Count(3), (1, 3)]])
     assert d.rows == ((Twist(3), Rational(1, 3)),) and not d.is_all_twist
+
+
+class _Half(enum.IntEnum):
+    THREE = 3
+    MINUS_FIVE = -5
+
+
+def _digest_corpus():
+    rng = random.Random(24)
+    for _ in range(3):
+        for n in range(1, 9):  # n = 1 leaves every odd row empty
+            for m in range(1, 12, 2):
+                yield random_mixed(rng, n, m)
+    big = 10**20
+    yield make_diagram(3, 3, [[0, -1], [0, -7, 0], [big, -big]])
+    yield make_diagram(2, 3, [[-(10**40) - 7], [0, big + 1], [-3]])
+    # every pairing: through-identity, through-swap, caps; negative p; 1/0 and 0/1
+    yield make_diagram(4, 3, [[(1, 2), (-3, 4), (1, 0)], [(1, 3), (-5, 7), (0, 1), (2, 3)],
+                              [(-4, 5), (-1, 0), (big + 1, big)]])
+    yield make_diagram(3, 1, [[_Half.THREE, (_Half.MINUS_FIVE, 2)]])
+    for case in sorted(GOLDEN.glob("*/case.json")):
+        yield from_json_dict(json.loads(case.read_text())["diagram"])
+    yield random_diagram(200, 201, seed=1)
+
+
+def test_digest_bytes_equal_json_dumps_of_the_box_table():
+    count = 0
+    for d in _digest_corpus():
+        assert canonical_diagram_bytes(d) == canonical_json_bytes(d), d
+        count += 1
+    assert count == 3 * 8 * 6 + 4 + len(list(GOLDEN.glob("*/case.json"))) + 1
+
+
+def test_box_past_the_digit_limit_still_builds_and_its_digest_raises():
+    huge = 10**5000
+    assert Twist(huge).a == huge and Rational(huge, 1).q == 1
+    d = make_diagram(3, 1, [[huge, 3]])
+    assert d.box(1, 1) == Twist(huge) and d.slope_table == (bytes([9, 10]),)
+    with pytest.raises(ValueError, match="limit"):
+        d.digest
 
 
 def test_direct_construction_names_the_bad_box():

@@ -114,6 +114,25 @@ def test_record_behaviour(cls, fields, other, text):
     assert x == pickle.loads(pickle.dumps(x)) == copy.copy(x) == copy.deepcopy(x)
 
 
+@pytest.mark.parametrize("box, text, shown", [
+    (Twist(-3), "-3", "Twist(a=-3)"),
+    (Twist(0), "0", "Twist(a=0)"),
+    (Rational(-1, 2), "[-1,2]", "Rational(p=-1, q=2)"),
+    (Rational(1, 0), "[1,0]", "Rational(p=1, q=0)"),
+])
+def test_box_json_text_is_kept_but_is_no_field(box, text, shown):
+    assert box._json == text and repr(box) == shown
+    assert hash(box) == hash(box._values())
+    for other in (copy.copy(box), copy.deepcopy(box), pickle.loads(pickle.dumps(box))):
+        assert other == box and other is not box
+        assert other._json == text and repr(other) == shown and hash(other) == hash(box)
+    with pytest.raises(AttributeError):
+        box._json = "0"
+    with pytest.raises(AttributeError):
+        del box._json
+    assert box._json == text
+
+
 def test_defaults():
     assert PathCheck(True).reason is None
     assert SurfaceReport("planar", 0, 0, 2, False).extra_tori is None
