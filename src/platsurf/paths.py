@@ -26,10 +26,14 @@ are implemented:
 
 The step rule is the primary check; the count is kept as an independent
 oracle and the equivalence is exercised exhaustively in the test suite.
+``allowable_entries`` checks the bounds and the step rule over the whole
+entry tuple at once, a few passes over slices of it; only a path that
+fails them is scanned row by row, and the scan names the first fault.
 """
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Iterator, Sequence
 
 from ._record import Record, set_field
@@ -47,7 +51,9 @@ def position(i: int, a: int) -> int:
 
 
 def corridor_positions(entries: Sequence[int]) -> tuple[int, ...]:
-    return tuple(position(i, a) for i, a in enumerate(entries, 1))
+    ps = [2 * a for a in entries]
+    ps[::2] = [p + 1 for p in ps[::2]]  # the odd rows
+    return tuple(ps)
 
 
 class AllowablePath(Record):
@@ -111,11 +117,19 @@ def allowable_entries(
     Otherwise raises PathError naming the first fault, checked in this
     order: a 2-bridge diagram (n <= 2) has no allowable path; then the
     shape (d.m int entries, 1 <= a_i <= row_length(i) - 1); then the
-    step rule, one pair of rows at a time from the top.
+    step rule, one pair of rows at a time from the top.  That scan runs
+    only when the verdict over the whole tuple fails.
     """
     if d.n <= 2:
         raise PathError(_TWO_BRIDGE)
     entries = tuple(path)
+    odd, even = entries[0::2], entries[1::2]
+    # an even row's entry is the odd one's above it or one more, so bounding
+    # the odd rows by 1..n - 2 and the steps bounds it by 1..n - 1
+    if (len(entries) == d.m and {*map(type, entries)} == {int}
+            and 1 <= min(odd) and max(odd) <= d.n - 2
+            and {*map(sub, even, odd)} <= {0, 1} and {*map(sub, odd[1:], even)} <= {-1, 0}):
+        return entries
     if fault := _shape_fault(d, entries, 1):
         raise PathError(fault)
     for i in range(1, len(entries)):

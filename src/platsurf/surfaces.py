@@ -30,6 +30,7 @@ compare the two routes.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Literal, Sequence
 
 from ._record import Record, set_field
@@ -104,12 +105,16 @@ def decompose(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> SphereDeco
     box a_i as well, since pos(i) + 1/2 exceeds every strand of that
     box and clears the next one.  Each side receives (m + 1) / 2 arcs
     of the link: every intersection point bounds one arc on each side.
+    The spans are cut at a_i + 1 directly, against row ends n (odd rows)
+    and n + 1 (even rows), one past each row's last box.
     """
     entries = allowable_entries(d, path)
     crossing, left_loops, right_loops = sphere_partition(build_topology(d), entries)
 
-    left_spans = tuple(range(1, a + 1) for a in entries)
-    right_spans = tuple(range(a + 1, d.row_length(i) + 1) for i, a in enumerate(entries, 1))
+    n, m = d.n, len(entries)
+    cuts = [a + 1 for a in entries]
+    left_spans = tuple(map(range, repeat(1, m), cuts))
+    right_spans = tuple(map(range, cuts, ([n, n + 1] * ((m + 1) // 2))[:m]))
     left = SideSummary("left", left_spans, tuple(sorted(left_loops)))
     right = SideSummary("right", right_spans, tuple(sorted(right_loops)))
     return SphereDecomposition(d, AllowablePath(entries), crossing, left, right)

@@ -55,7 +55,7 @@ A separating sphere along an allowable path meets the link in m + 1
 pieces: the top cap at pair (pos(1), pos(1)+1), one strand segment per
 interior gap, and the bottom cap at (pos(m), pos(m)+1).  In gap i the
 crossed segment sits at strand max(pos(i), pos(i+1)), which
-``_crossed_strands`` writes as (pos(i) + pos(i+1) + 1) / 2; the
+``_crossed_strands`` takes pairwise over the positions; the
 geometric simulation in the tests backs this up.  Everything else in
 gap i is strictly left (x below the crossed strand) or strictly right
 (above it); at gaps 0 and m the corridor descends at pos +- 1/2, so the
@@ -66,6 +66,7 @@ segment decides which.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .diagram import CAPS, SWAP, PlatDiagram, box_strands
@@ -314,7 +315,7 @@ def _crossed_strands(entries: Sequence[int]) -> list[int]:
     iff above.
     """
     ps = corridor_positions(entries)
-    return [ps[0]] + [(p + q + 1) // 2 for p, q in zip(ps, ps[1:])] + [ps[-1]]
+    return [ps[0], *map(max, ps, ps[1:]), ps[-1]]
 
 
 def sphere_partition(
@@ -322,15 +323,17 @@ def sphere_partition(
 ) -> tuple[tuple[int, ...], frozenset[int], frozenset[int]]:
     """Crossed component ids, top to bottom, and the sets strictly left and right.
 
-    ``entries`` must already have passed ``allowable_entries``.  The
-    crossed components, the left set, and the right set partition all
-    component ids; the test suite checks the partition on random
-    diagrams.
+    ``entries`` must already have passed ``allowable_entries``, so every
+    crossed segment (g, x) is in range: its label is read directly at flat
+    index g * w + x - 1, without ``component_of``.  The crossed components,
+    the left set, and the right set partition all component ids; the test
+    suite checks the partition on random diagrams.
     """
     strands = _crossed_strands(entries)
-    crossing = tuple(t.component_of(g, x) for g, x in enumerate(strands))
-    met = set(crossing)
     w = 2 * t.n
+    offsets = range(-1, len(strands) * w, w)  # g * w - 1 for gap g
+    crossing = tuple(map(t._label.__getitem__, map(add, offsets, strands)))
+    met = set(crossing)
     left, right = [], []
     for cid, seg in enumerate(t._starts):
         if cid not in met:  # wholly on one side; see the module docstring

@@ -14,7 +14,10 @@ bracket of a PD code checked against a Temperley-Lieb sweep of the plat
 itself.  The last section keeps the per-crossing PD walk and the
 box-by-box renders as byte oracles for the library's row-at-a-time
 routines, and ``json.dumps`` over the whole box table as the byte
-oracle for the digest encoding joined from each box's kept text.
+oracle for the digest encoding joined from each box's kept text.  The
+final section scans a path one row at a time and cuts its sphere one gap
+at a time, through ``component_of``, as oracles for the whole-tuple path
+verdict and decomposition.
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ import json
 import math
 import random
 
-from platsurf import ParameterError, PDCode, PlatDiagram, Twist, UnsupportedBoxError, make_diagram
+from platsurf import ParameterError, PathError, PDCode, PlatDiagram, Twist, UnsupportedBoxError
+from platsurf import make_diagram
 from platsurf.diagram import box_denominator, box_strands, to_json_dict
 from platsurf.export import MAX_PD_CROSSINGS, _require_all_twist, pd_validate
-from platsurf.paths import _odd_row_counts, allowable_entries, corridor_positions
+from platsurf.paths import AllowablePath, _odd_row_counts, allowable_entries, corridor_positions
+from platsurf.surfaces import SideSummary, SphereDecomposition
 from platsurf.topology import _cycles, _end_links, build_topology, component_cycles
 
 
@@ -826,3 +831,74 @@ def per_box_render_ascii(d: PlatDiagram, path) -> bytes:
 def canonical_json_bytes(d: PlatDiagram) -> bytes:
     """The digest encoding written by ``json.dumps`` from the box table, box by box."""
     return json.dumps(to_json_dict(d), sort_keys=True, separators=(",", ":")).encode()
+
+
+# ---------------------------------------------------------------------------
+# row-at-a-time oracles for the path verdict and the sphere decomposition,
+# which the library takes over whole entry tuples: the verdict scans the rows
+# in order and stops at the first fault; the sphere reads each gap's crossed
+# strand as (pos(i) + pos(i+1) + 1) / 2 and its component through
+# component_of, and each right span ends at row_length + 1.
+
+
+def per_row_allowable_entries(d: PlatDiagram, path) -> tuple:
+    """The entries of an allowable path as a tuple, or PathError naming the
+    first fault: the 2-bridge case, the length, each row's type and range
+    top to bottom, then each step top to bottom."""
+    if d.n <= 2:
+        raise PathError("a 2-bridge plat (n <= 2) admits no allowable paths")
+    entries = tuple(path)
+    if len(entries) != d.m:
+        raise PathError(f"expected {d.m} entries, got {len(entries)}")
+    for i, a in enumerate(entries, 1):
+        if isinstance(a, bool) or not isinstance(a, int):
+            raise PathError(f"row {i}: entry {a!r} is not an int")
+        hi = row_len(d.n, i) - 1
+        if not 1 <= a <= hi:
+            raise PathError(f"row {i}: entry {a} outside allowable range 1..{hi}")
+    for i in range(1, len(entries)):
+        prev, cur = entries[i - 1], entries[i]
+        allowed = (prev, prev + 1) if i % 2 == 1 else (prev - 1, prev)
+        if cur not in allowed:
+            raise PathError(f"rows {i}->{i + 1}: step {prev}->{cur} not in {allowed}")
+    return entries
+
+
+def per_gap_crossed_strands(entries) -> list[int]:
+    ps = [pos_of(i, a) for i, a in enumerate(entries, 1)]
+    return [ps[0]] + [(p + q + 1) // 2 for p, q in zip(ps, ps[1:])] + [ps[-1]]
+
+
+def per_gap_sphere_partition(t, entries) -> tuple[tuple[int, ...], frozenset, frozenset]:
+    """Crossed component ids top to bottom, and the sets strictly left and right."""
+    strands = per_gap_crossed_strands(entries)
+    crossing = tuple(t.component_of(g, x) for g, x in enumerate(strands))
+    w = 2 * t.n
+    left, right = set(), set()
+    for cid, seg in enumerate(t._starts):
+        if cid not in crossing:
+            g, x = divmod(seg, w)
+            (left if x + 1 < strands[g] else right).add(cid)
+    return crossing, frozenset(left), frozenset(right)
+
+
+def per_gap_crossing_pieces(entries) -> tuple:
+    strands = per_gap_crossed_strands(entries)
+    return (
+        ("top_cap", (strands[0] + 1) // 2),
+        *(("segment", g, strands[g]) for g in range(1, len(entries))),
+        ("bottom_cap", (strands[-1] + 1) // 2),
+    )
+
+
+def per_gap_decompose(d: PlatDiagram, path) -> SphereDecomposition:
+    """``decompose`` with every span and crossed component read one row or gap at a time."""
+    entries = per_row_allowable_entries(d, path)
+    crossing, left_loops, right_loops = per_gap_sphere_partition(build_topology(d), entries)
+    left_spans = tuple(range(1, a + 1) for a in entries)
+    right_spans = tuple(range(a + 1, row_len(d.n, i) + 1) for i, a in enumerate(entries, 1))
+    return SphereDecomposition(
+        d, AllowablePath(entries), crossing,
+        SideSummary("left", left_spans, tuple(sorted(left_loops))),
+        SideSummary("right", right_spans, tuple(sorted(right_loops))),
+    )

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from enum import IntEnum
 
 import pytest
 
@@ -22,8 +23,9 @@ from platsurf import (
     make_diagram,
     random_diagram,
 )
-from platsurf.paths import MAX_PATHS, PathCheck, allowable_entries
-from helpers import brute_force_paths, per_row_count, polyline_crossing_count, row_len
+from platsurf.paths import MAX_PATHS, PathCheck, allowable_entries, corridor_positions, position
+from helpers import brute_force_paths, per_row_allowable_entries, per_row_count
+from helpers import polyline_crossing_count, row_len
 
 
 def _shape(n, m):
@@ -133,30 +135,61 @@ def test_step_rule_equals_crossing_oracle_small():
                 assert ok == (bounds and crossing_count(d, entries) == m + 1), entries
 
 
+class _One(IntEnum):
+    ONE = 1
+
+
+# one of each kind of entry the whole-tuple verdict must hand to the row scan
+_HOSTILE = (True, "1", 1.0, 1.5, -1, 0, 10**30, _One.ONE)
+
+
+def _verdict_vectors(n, m):
+    """Every vector of length m - 1..m + 1 with entries 0..n + 1 while there
+    are at most 20 000; past that, every allowable path with one entry
+    set to each of 0..n + 1, cut short or lengthened by one, and 3000
+    seeded draws from the whole space.  Then each hostile entry in each row
+    of the two extremal paths (of (1,) * m when n <= 2)."""
+    values = range(n + 2)
+    if (n + 2) ** (m + 1) <= 20_000:
+        vectors = [v for k in (m - 1, m, m + 1) for v in itertools.product(values, repeat=k)]
+    else:
+        rng = random.Random(n * 100 + m)
+        vectors = [
+            tuple(rng.choice(values) for _ in range(rng.choice((m - 1, m, m + 1))))
+            for _ in range(3000)
+        ]
+        for p in brute_force_paths(n, m):
+            vectors += [p[:k] + (a,) + p[k + 1:] for k in range(m) for a in values]
+            vectors += [p[:-1], p + (1,)]
+    bases = [p.entries for p in extremal_paths(_shape(n, m))] if n > 2 else [(1,) * m]
+    for b in bases:
+        vectors += [b[:k] + (bad,) + b[k + 1:] for k in range(m) for bad in _HOSTILE]
+    return vectors
+
+
 def test_both_forms_of_the_path_verdict_agree():
-    # check_allowable reports the verdict allowable_entries raises, on every
-    # form of path, allowable or not, too short or too long, ints or not
+    # allowable_entries gives the per-row scan's verdict exactly, the same
+    # tuple of the same objects or the same PathError message, and
+    # check_allowable reports it, on every form of path, allowable or not,
+    # too short or too long, ints or not
     forms = (tuple, list, AllowablePath, lambda v: (a for a in v))
-    for n in range(1, 5):
-        for m in (1, 3, 5):
+    for n in range(1, 6):
+        for m in (1, 3, 5, 7):
             d = _shape(n, m)
-            vectors = [
-                v for k in (m - 1, m, m + 1)
-                for v in itertools.product(range(n + 1), repeat=k)
-            ]
-            vectors += [
-                (1,) * k + (bad,) + (1,) * (m - k - 1)
-                for k in range(m) for bad in (True, "1", 1.0)
-            ]
-            for v in vectors:
+            for v in _verdict_vectors(n, m):
+                try:
+                    want = per_row_allowable_entries(d, v)
+                except PathError as e:
+                    want = str(e)
                 for form in forms:
                     check = check_allowable(d, form(v))
                     try:
-                        entries = allowable_entries(d, form(v))
+                        got = allowable_entries(d, form(v))
                     except PathError as e:
-                        assert check == PathCheck(False, str(e)), (n, m, v, form)
+                        assert str(e) == want and check == PathCheck(False, want), (n, m, v, form)
                     else:
-                        assert entries == v and check == PathCheck(True), (n, m, v, form)
+                        assert got == want and list(map(type, got)) == list(map(type, want))
+                        assert check == PathCheck(True), (n, m, v, form)
 
 
 def test_crossing_oracle_against_polyline_geometry():
@@ -174,6 +207,19 @@ def test_crossing_oracle_against_polyline_geometry():
             m,
             entries,
         )
+
+
+def test_corridor_positions_equal_position_on_every_counted_vector():
+    # every vector crossing_count takes, entries 0 and row_length included:
+    # the sliced positions equal position() row by row
+    for n in range(1, 6):
+        for m in (1, 3, 5):
+            d = _shape(n, m)
+            space = [range(0, row_len(n, i) + 1) for i in range(1, m + 1)]
+            for entries in itertools.product(*space):
+                want = tuple(position(i, a) for i, a in enumerate(entries, 1))
+                assert corridor_positions(entries) == want, entries
+                assert crossing_count(d, entries) >= m + 1
 
 
 def test_check_allowable_diagnostics():

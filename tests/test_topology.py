@@ -18,9 +18,11 @@ from platsurf import (
     components_strictly_beside,
     crossing_components,
     crossing_pieces,
+    decompose,
     diagram_from_json,
     diagram_to_json,
     enumerate_allowable,
+    extremal_paths,
     make_diagram,
     random_diagram,
     topology,
@@ -29,6 +31,7 @@ from platsurf.cli import main
 from platsurf.topology import component_cycles
 from helpers import plat_cycle_count, random_all_twist, random_shape, trace_sides
 from helpers import random_mixed, row_len, union_find_components, walk_labels
+from helpers import per_gap_crossing_pieces, per_gap_decompose, per_gap_sphere_partition
 
 
 def test_straight_through_diagram_components():
@@ -123,6 +126,15 @@ def _caps_column(rng, n, m, j):
     return make_diagram(n, m, rows)
 
 
+def _caps_loops():
+    """Caps boxes over caps boxes, two odd rows apart, with the even row
+    between passing straight: closed loops that never reach gap 0."""
+    return [
+        make_diagram(3, 3, [[(0, 1), (0, 1)], [0, 2, 0], [(0, 1), (0, 1)]]),
+        make_diagram(4, 5, [[(2, 1)] * 3, [0] * 4, [(0, 1)] * 3, [2] * 4, [(-2, 3)] * 3]),
+    ]
+
+
 def test_row_pass_labels_equal_the_end_walk():
     rng = random.Random(53)
     corpus = [
@@ -137,12 +149,7 @@ def test_row_pass_labels_equal_the_end_walk():
         for m in range(3, 12, 2)
         for j in range(1, n)
     ]
-    # caps boxes over caps boxes, two odd rows apart, with the even row
-    # between passing straight: closed loops that never reach gap 0
-    loops = [
-        make_diagram(3, 3, [[(0, 1), (0, 1)], [0, 2, 0], [(0, 1), (0, 1)]]),
-        make_diagram(4, 5, [[(2, 1)] * 3, [0] * 4, [(0, 1)] * 3, [2] * 4, [(-2, 3)] * 3]),
-    ]
+    loops = _caps_loops()
     corpus += [*loops, random_diagram(200, 201, seed=1)]
     for d in loops:
         assert min(build_topology(d)._starts[1:]) >= 2 * d.n
@@ -290,6 +297,36 @@ def test_intersections_agree_with_component_walk(make):
             )
             checked += 1
     assert checked > 100
+
+
+def test_sphere_reads_equal_the_per_gap_oracle():
+    # decompose, crossing_pieces and components_strictly_beside index the
+    # labels and spans over whole entry tuples; each equals its one-gap-at-a-time
+    # oracle field for field, spans included, on every allowable path of mixed
+    # diagrams and caps loops, and on both extremal paths of a 40-pair plat
+    rng = random.Random(59)
+    corpus = [
+        (d, [p.entries for p in enumerate_allowable(d)])
+        for d in [random_mixed(rng, n, m) for n in range(3, 9) for m in range(1, 12, 2)]
+        + [_caps_column(rng, 5, 7, 2), *_caps_loops()]
+    ]
+    big = random_diagram(40, 41, seed=1)
+    corpus.append((big, [p.entries for p in extremal_paths(big)]))
+    checked = with_loops = 0
+    for d, paths in corpus:
+        t = build_topology(d)
+        for entries in paths:
+            dec, want = decompose(d, entries), per_gap_decompose(d, entries)
+            assert dec == want, (d, entries)
+            # ranges compare as sequences; their reprs pin the endpoints too
+            assert repr(dec.left) == repr(want.left) and repr(dec.right) == repr(want.right)
+            assert crossing_pieces(t, entries) == per_gap_crossing_pieces(entries)
+            _, left, right = per_gap_sphere_partition(t, entries)
+            assert components_strictly_beside(t, entries, "left") == left
+            assert components_strictly_beside(t, entries, "right") == right
+            checked += 1
+            with_loops += bool(left and right)
+    assert checked > 16_000 and with_loops > 100
 
 
 def test_sphere_path_must_be_allowable():
