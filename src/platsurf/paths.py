@@ -45,11 +45,6 @@ _TWO_BRIDGE = "a 2-bridge plat (n <= 2) admits no allowable paths"
 MAX_PATHS = 10**6  # the most paths enumerate_allowable builds at once
 
 
-def position(i: int, a: int) -> int:
-    """Strand position pos(i) of entry a in row i."""
-    return 2 * a + 1 if i % 2 == 1 else 2 * a
-
-
 def corridor_positions(entries: Sequence[int]) -> tuple[int, ...]:
     ps = [2 * a for a in entries]
     ps[::2] = [p + 1 for p in ps[::2]]  # the odd rows

@@ -23,9 +23,9 @@ from platsurf import (
     make_diagram,
     random_diagram,
 )
-from platsurf.paths import MAX_PATHS, PathCheck, allowable_entries, corridor_positions, position
+from platsurf.paths import MAX_PATHS, PathCheck, allowable_entries, corridor_positions
 from helpers import brute_force_paths, per_row_allowable_entries, per_row_count
-from helpers import polyline_crossing_count, row_len
+from helpers import polyline_crossing_count, pos_of, row_len
 
 
 def _shape(n, m):
@@ -144,14 +144,16 @@ _HOSTILE = (True, "1", 1.0, 1.5, -1, 0, 10**30, _One.ONE)
 
 
 def _verdict_vectors(n, m):
-    """Every vector of length m - 1..m + 1 with entries 0..n + 1 while there
-    are at most 20 000; past that, every allowable path with one entry
-    set to each of 0..n + 1, cut short or lengthened by one, and 3000
+    """Every vector of length m - 1..m + 1 with entries 0..n + 1 while the
+    three lengths hold at most 60 000 of them (every shape here but n = 5
+    at m = 5 and n >= 2 at m = 7); past that, every allowable path with one
+    entry set to each of 0..n + 1, cut short or lengthened by one, and 3000
     seeded draws from the whole space.  Then each hostile entry in each row
     of the two extremal paths (of (1,) * m when n <= 2)."""
     values = range(n + 2)
-    if (n + 2) ** (m + 1) <= 20_000:
-        vectors = [v for k in (m - 1, m, m + 1) for v in itertools.product(values, repeat=k)]
+    lengths = (m - 1, m, m + 1)
+    if sum(len(values) ** k for k in lengths) <= 60_000:
+        vectors = [v for k in lengths for v in itertools.product(values, repeat=k)]
     else:
         rng = random.Random(n * 100 + m)
         vectors = [
@@ -209,15 +211,15 @@ def test_crossing_oracle_against_polyline_geometry():
         )
 
 
-def test_corridor_positions_equal_position_on_every_counted_vector():
+def test_corridor_positions_equal_pos_of_on_every_counted_vector():
     # every vector crossing_count takes, entries 0 and row_length included:
-    # the sliced positions equal position() row by row
+    # the sliced positions equal pos(i) taken row by row
     for n in range(1, 6):
         for m in (1, 3, 5):
             d = _shape(n, m)
             space = [range(0, row_len(n, i) + 1) for i in range(1, m + 1)]
             for entries in itertools.product(*space):
-                want = tuple(position(i, a) for i, a in enumerate(entries, 1))
+                want = tuple(pos_of(i, a) for i, a in enumerate(entries, 1))
                 assert corridor_positions(entries) == want, entries
                 assert crossing_count(d, entries) >= m + 1
 

@@ -19,8 +19,7 @@ from platsurf import (
     surface_invariants,
 )
 from platsurf.diagram import box_strands
-from platsurf.paths import position
-from helpers import random_all_twist, random_shape, trace_sides
+from helpers import pos_of, random_all_twist, random_shape, trace_sides
 
 
 def test_decompose_frozen_small():
@@ -151,7 +150,7 @@ def test_decompose_random_consistency():
             assert dec.left.boxes == {
                 (i, j)
                 for i, j, _ in d.boxes()
-                if box_strands(i, j)[1] <= position(i, path.entries[i - 1])
+                if box_strands(i, j)[1] <= pos_of(i, path.entries[i - 1])
             }
             assert decompose(d, path.entries) == dec
             if len(all_paths) > 1:
