@@ -1,14 +1,37 @@
 """Immutable value records.  A record class names its fields in ``_fields``
-(and in ``__slots__``, unless it keeps an instance ``__dict__``) and stores
-them in its own ``__init__`` with ``set_field``.  ``Record`` prints,
-compares and hashes a record by its fields and refuses assignment."""
+(and in ``__slots__``, unless it keeps an instance ``__dict__``).  A class
+that only stores its fields defines no ``__init__``: ``Record`` writes one
+that takes the fields in order, with the trailing defaults, if any, in the
+class tuple ``_defaults``.  A class that checks or converts its arguments
+writes its own ``__init__`` and stores each field with ``set_field``.
+``Record`` prints, compares and hashes a record by its fields and refuses
+assignment."""
 
 set_field = object.__setattr__  # passes Record.__setattr__; for __init__ only
+
+
+def _storing_init(cls: type):
+    # written out as source, one set_field line per field, as dataclasses
+    # and namedtuple build theirs: a loop over _fields builds each record
+    # a quarter to a half slower
+    fields = cls._fields
+    lines = "".join(f"\n    set_field(self, {name!r}, {name})" for name in fields)
+    scope: dict = {}
+    exec(f"def __init__(self, {', '.join(fields)}):{lines}", {"set_field": set_field}, scope)
+    init = scope["__init__"]
+    init.__defaults__ = cls.__dict__.get("_defaults")
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
+            cls.__init__ = _storing_init(cls)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -38,12 +38,11 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from ._record import Record, set_field
+from ._record import Record
 from .diagram import (
     END_BOUND,
     RELAXED,
     STRICT,
-    HypothesisReport,
     PlatDiagram,
     check_hypotheses,
 )
@@ -51,7 +50,6 @@ from .errors import ParameterError
 from .paths import AllowablePath, extremal_paths
 from .surfaces import (
     SphereDecomposition,
-    SurfaceReport,
     assembled_surface_cells,
     decompose,
     surface_invariants,
@@ -158,10 +156,6 @@ def diagram_digest(d: PlatDiagram) -> str:
 class Conclusion(Record):
     __slots__ = _fields = ("statement", "cite")
 
-    def __init__(self, statement: str, cite: str) -> None:
-        set_field(self, "statement", statement)
-        set_field(self, "cite", cite)
-
     def to_dict(self) -> dict:
         return {"statement": self.statement, "cite": self.cite}
 
@@ -169,20 +163,6 @@ class Conclusion(Record):
 class Certificate(Record):
     __slots__ = _fields = ("mode", "digest", "certified", "hypotheses", "path", "surfaces",
                            "conclusions", "refusals", "footnotes")
-
-    def __init__(self, mode: str, digest: str, certified: bool, hypotheses: HypothesisReport,
-                 path: AllowablePath | None, surfaces: tuple[SurfaceReport, ...],
-                 conclusions: tuple[Conclusion, ...], refusals: tuple[str, ...],
-                 footnotes: tuple[str, ...]) -> None:
-        set_field(self, "mode", mode)
-        set_field(self, "digest", digest)
-        set_field(self, "certified", certified)
-        set_field(self, "hypotheses", hypotheses)
-        set_field(self, "path", path)
-        set_field(self, "surfaces", surfaces)
-        set_field(self, "conclusions", conclusions)
-        set_field(self, "refusals", refusals)
-        set_field(self, "footnotes", footnotes)
 
     def to_dict(self) -> dict:
         return {

@@ -280,18 +280,6 @@ class HypothesisReport(Record):
     __slots__ = _fields = ("mode", "n", "m", "n_at_least_3", "interior_nonzero",
                            "odd_row_ends_ok", "interior_zero_boxes", "small_end_boxes")
 
-    def __init__(self, mode: str, n: int, m: int, n_at_least_3: bool, interior_nonzero: bool,
-                 odd_row_ends_ok: bool, interior_zero_boxes: tuple[tuple[int, int, Any], ...],
-                 small_end_boxes: tuple[tuple[int, int, Any], ...]) -> None:
-        set_field(self, "mode", mode)
-        set_field(self, "n", n)
-        set_field(self, "m", m)
-        set_field(self, "n_at_least_3", n_at_least_3)
-        set_field(self, "interior_nonzero", interior_nonzero)
-        set_field(self, "odd_row_ends_ok", odd_row_ends_ok)
-        set_field(self, "interior_zero_boxes", interior_zero_boxes)
-        set_field(self, "small_end_boxes", small_end_boxes)
-
     @property
     def two_bridge(self) -> bool:
         return self.n <= 2

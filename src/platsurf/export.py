@@ -67,13 +67,12 @@ MAX_PD_CROSSINGS = 10**6
 
 
 class BraidWord(Record):
-    """A word in the braid group on ``strands`` strands, as syllables."""
+    """A word in the braid group on ``strands`` strands, as syllables.
+
+    ``syllables`` is a tuple of (generator index, signed exponent) pairs.
+    """
 
     __slots__ = _fields = ("strands", "syllables")
-
-    def __init__(self, strands: int, syllables: tuple[tuple[int, int], ...]) -> None:
-        set_field(self, "strands", strands)
-        set_field(self, "syllables", syllables)  # (generator index, signed exponent)
 
     def text(self) -> str:
         return " ".join(f"s{g}^{e}" for g, e in self.syllables)

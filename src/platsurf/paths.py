@@ -80,10 +80,7 @@ class PathCheck(Record):
     """Allowability verdict with the first violation spelled out."""
 
     __slots__ = _fields = ("ok", "reason")
-
-    def __init__(self, ok: bool, reason: str | None = None) -> None:
-        set_field(self, "ok", ok)
-        set_field(self, "reason", reason)
+    _defaults = (None,)
 
     def __bool__(self) -> bool:
         return self.ok

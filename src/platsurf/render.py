@@ -109,9 +109,9 @@ def _render_ascii(d: PlatDiagram, path) -> bytes:
     entries, ps = _positions(d, path)
     # strand x sits at column 4x - 2; a box "[label]" fills the columns from
     # one left of its left strand to one right of its right strand, boxes
-    # one blank apart: odd rows from column 5, even rows from column 1
+    # one blank apart: odd rows from column 5, even rows from column 1; a
+    # label wider than five pushes the rest of its row right
     strands = "  " + "│   " * (2 * d.n - 1) + "│  "
-    width = len(strands)
     lines = []
     if ps is not None:
         lines.append("path: (" + ", ".join(str(a) for a in entries) + ")")
@@ -121,12 +121,6 @@ def _render_ascii(d: PlatDiagram, path) -> bytes:
         first = 5 if i % 2 == 0 else 1
         boxes = ["[" + label.center(5) + "]" for label in map(str, row)]
         line = " ".join([strands[: first - 1], *boxes, strands[first + 8 * len(row) :]])
-        if len(line) > width:
-            # a label wider than five: each box still starts at its own
-            # column and pushes the rest of the row right
-            line = strands
-            for a, box in zip(range(first, width, 8), boxes):
-                line = line[:a] + box + line[a + 7 :]
         if ps is not None:
             marker = 4 * ps[i]  # the corridor's column, right of strand ps[i]
             if line[marker] == " ":

@@ -31,9 +31,9 @@ compare the two routes.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Literal, Sequence
+from typing import Sequence
 
-from ._record import Record, set_field
+from ._record import Record
 from .diagram import PlatDiagram
 from .errors import PathError
 from .paths import AllowablePath, allowable_entries
@@ -47,18 +47,13 @@ TUBED_RIGHT = "tubed_right"
 class SideSummary(Record):
     """One side of a separating sphere.
 
-    ``spans`` holds, per row top to bottom, the range of box columns on
-    this side and ``loop_components`` the ids of link components lying
-    entirely on this side (closed loops the sphere never touches).
+    ``side`` is ``"left"`` or ``"right"``.  ``spans`` holds, per row top to
+    bottom, the range of box columns on this side and ``loop_components``
+    the ids of link components lying entirely on this side (closed loops
+    the sphere never touches).
     """
 
     __slots__ = _fields = ("side", "spans", "loop_components")
-
-    def __init__(self, side: Literal["left", "right"], spans: tuple[range, ...],
-                 loop_components: tuple[int, ...]) -> None:
-        set_field(self, "side", side)
-        set_field(self, "spans", spans)
-        set_field(self, "loop_components", loop_components)
 
     @property
     def boxes(self) -> frozenset[tuple[int, int]]:
@@ -76,17 +71,13 @@ class SideSummary(Record):
 
 
 class SphereDecomposition(Record):
-    """A diagram cut along the sphere of one allowable path."""
+    """A diagram cut along the sphere of one allowable path.
+
+    ``crossing`` holds the component id of each piece of the link the
+    sphere crosses, top to bottom.
+    """
 
     __slots__ = _fields = ("diagram", "path", "crossing", "left", "right")
-
-    def __init__(self, diagram: PlatDiagram, path: AllowablePath, crossing: tuple[int, ...],
-                 left: SideSummary, right: SideSummary) -> None:
-        set_field(self, "diagram", diagram)
-        set_field(self, "path", path)
-        set_field(self, "crossing", crossing)  # component id per crossed piece, top to bottom
-        set_field(self, "left", left)
-        set_field(self, "right", right)
 
     @property
     def m(self) -> int:
@@ -121,18 +112,15 @@ def decompose(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> SphereDeco
 
 
 class SurfaceReport(Record):
-    """Invariants of one of the three surfaces along a path."""
+    """Invariants of one of the three surfaces along a path.
+
+    ``kind`` is ``PLANAR``, ``TUBED_LEFT`` or ``TUBED_RIGHT``.
+    ``extra_tori`` counts the separate torus pieces of a tubed kind and
+    is None for the planar one.
+    """
 
     __slots__ = _fields = ("kind", "euler", "genus", "boundary", "closed", "extra_tori")
-
-    def __init__(self, kind: str, euler: int, genus: int, boundary: int, closed: bool,
-                 extra_tori: int | None = None) -> None:
-        set_field(self, "kind", kind)  # PLANAR, TUBED_LEFT or TUBED_RIGHT
-        set_field(self, "euler", euler)
-        set_field(self, "genus", genus)
-        set_field(self, "boundary", boundary)
-        set_field(self, "closed", closed)
-        set_field(self, "extra_tori", extra_tori)  # separate torus pieces; tubed kinds only
+    _defaults = (None,)
 
     def to_dict(self) -> dict:
         out = {

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._record import Record, set_field
+from ._record import Record
 from .certificates import MODE_SURGERY, Certificate, certificate_json
 from .diagram import PlatDiagram, Twist
 from .errors import ParameterError, TwoBridgeError
@@ -58,10 +58,6 @@ class NontrivialityCheck(Record):
 
     __slots__ = _fields = ("ok", "offenders")
 
-    def __init__(self, ok: bool, offenders: tuple[int, ...]) -> None:
-        set_field(self, "ok", ok)
-        set_field(self, "offenders", offenders)
-
     def __bool__(self) -> bool:
         return self.ok
 
@@ -70,6 +66,12 @@ class NontrivialityCheck(Record):
 
 
 def is_totally_nontrivial(slopes: Sequence[Slope]) -> NontrivialityCheck:
+    """Component ids whose slope is the meridian; an item that is no Slope
+    is an input error, named by its position as in ``parse_slopes``."""
+    slopes = tuple(slopes)
+    for k, s in enumerate(slopes, 1):
+        if not isinstance(s, Slope):
+            raise ParameterError(f"slope at position {k} is not a Slope: got {type(s).__name__}")
     offenders = tuple(i for i, s in enumerate(slopes) if s.is_meridian)
     return NontrivialityCheck(not offenders, offenders)
 
@@ -83,13 +85,7 @@ class ParityCheck(Record):
     """
 
     __slots__ = _fields = ("value", "first_odd_row", "last_odd_row", "note")
-
-    def __init__(self, value: bool | None, first_odd_row: int | None,
-                 last_odd_row: int | None, note: str | None = None) -> None:
-        set_field(self, "value", value)
-        set_field(self, "first_odd_row", first_odd_row)
-        set_field(self, "last_odd_row", last_odd_row)
-        set_field(self, "note", note)
+    _defaults = (None,)
 
     def to_dict(self) -> dict:
         return {
@@ -126,10 +122,6 @@ class CoverageCheck(Record):
 
     __slots__ = _fields = ("ok", "uncovered")
 
-    def __init__(self, ok: bool, uncovered: tuple[int, ...]) -> None:
-        set_field(self, "ok", ok)
-        set_field(self, "uncovered", uncovered)
-
     def __bool__(self) -> bool:
         return self.ok
 
@@ -157,17 +149,6 @@ class HakenCertificate(Certificate):
 
     __slots__ = ("slopes", "totally_nontrivial", "coverage", "parity")
     _fields = Certificate._fields + __slots__
-
-    def __init__(self, mode, digest, certified, hypotheses, path, surfaces, conclusions,
-                 refusals, footnotes, slopes: tuple[Slope, ...],
-                 totally_nontrivial: NontrivialityCheck, coverage: CoverageCheck | None,
-                 parity: ParityCheck) -> None:
-        super().__init__(mode, digest, certified, hypotheses, path, surfaces, conclusions,
-                         refusals, footnotes)
-        set_field(self, "slopes", slopes)
-        set_field(self, "totally_nontrivial", totally_nontrivial)
-        set_field(self, "coverage", coverage)
-        set_field(self, "parity", parity)
 
     def _surgery_records(self) -> dict:
         return {

@@ -811,13 +811,15 @@ def per_box_render_ascii(d: PlatDiagram, path) -> bytes:
     for i in range(1, d.m + 1):
         lines.append("".join(strand_line()))
         boxrow = strand_line()
+        shift = 0  # how far wider labels to the left pushed this box right
         for j in range(1, d.row_length(i) + 1):
             s, t = box_strands(i, j)
-            a, b = col(s) - 1, col(t) + 1
+            a, b = col(s) - 1 + shift, col(t) + 1 + shift
             label = str(d.box(i, j)).center(b - a - 1)
             boxrow[a] = "["
             boxrow[b] = "]"
             boxrow[a + 1 : b] = list(label)
+            shift += len(label) - (b - a - 1)
         if ps is not None:
             marker = col(ps[i - 1]) + 2
             if boxrow[marker] == " ":

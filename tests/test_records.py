@@ -5,10 +5,14 @@ in field order, and checked against the behaviour callers rely on.
 """
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 
 import pytest
 
+import platsurf
 from platsurf import (
     AllowablePath,
     BraidWord,
@@ -23,6 +27,7 @@ from platsurf import (
     Twist,
     build_topology,
 )
+from platsurf._record import Record
 from platsurf.certificates import Conclusion
 from platsurf.diagram import HypothesisReport
 from platsurf.paths import PathCheck
@@ -112,6 +117,32 @@ def test_record_behaviour(cls, fields, other, text):
         with pytest.raises(AttributeError):
             delattr(x, name)
     assert x == pickle.loads(pickle.dumps(x)) == copy.copy(x) == copy.deepcopy(x)
+    # __init__ is the class's own, takes exactly the fields, in order, and nothing else
+    init = cls.__init__
+    assert (init.__qualname__, init.__module__) == (f"{cls.__qualname__}.__init__", cls.__module__)
+    assert list(inspect.signature(cls).parameters) == list(cls._fields) == list(fields)
+    required = [p.name for p in inspect.signature(cls).parameters.values()
+                if p.default is p.empty]
+    with pytest.raises(TypeError):
+        cls(**{name: v for name, v in fields.items() if name != required[-1]})
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    with pytest.raises(TypeError):
+        cls(**fields, unknown=None)
+
+
+def _record_types(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_types(sub)
+
+
+def test_every_record_type_is_pinned():
+    for info in pkgutil.walk_packages(platsurf.__path__, "platsurf."):
+        importlib.import_module(info.name)
+    defined = {t for t in _record_types() if t.__module__.startswith("platsurf.")}
+    assert defined == {r[0] for r in RECORDS}
+    assert len(RECORDS) == len(defined)
 
 
 @pytest.mark.parametrize("box, text, shown", [
@@ -134,6 +165,10 @@ def test_box_json_text_is_kept_but_is_no_field(box, text, shown):
 
 
 def test_defaults():
+    defaults = {(cls.__name__, p.name): p.default for cls, *_ in RECORDS
+                for p in inspect.signature(cls).parameters.values() if p.default is not p.empty}
+    assert defaults == {("PathCheck", "reason"): None, ("SurfaceReport", "extra_tori"): None,
+                        ("ParityCheck", "note"): None}
     assert PathCheck(True).reason is None
     assert SurfaceReport("planar", 0, 0, 2, False).extra_tori is None
     assert ParityCheck(None, None, None).note is None

@@ -105,15 +105,14 @@ def test_ascii_always_aligned():
 
 
 def test_ascii_frozen_wide_labels():
-    # a label wider than five characters writes its box from the box's own
-    # column on and pushes the rest of the row right; the next box is still
-    # drawn from its own column, over whatever the push left there
+    # a label wider than five characters pushes the rest of its row right,
+    # boxes still one blank apart
     out = render(make_diagram(3, 1, [[[-11, 13], 3]]), (1,), fmt="ascii")
     assert out.decode() == (
         "path: (1)\n"
         "  ╭───╮   ╭───╮   ╭───╮  \n"
         "  │   │   │   │   │   │  \n"
-        "  │  [-11/13][  3  ]   │  \n"
+        "  │  [-11/13] [  3  ]  │  \n"
         "  │   │   │   │   │   │  \n"
         "  ╰───╯   ╰───╯   ╰───╯  \n"
     )
@@ -123,9 +122,9 @@ def test_ascii_frozen_wide_labels():
         "path: (1, 2, 1)\n"
         "  ╭───╮   ╭───╮   ╭───╮   ╭───╮  \n"
         "  │   │   │   │   │   │   │   │  \n"
-        "  │  [123456][-11/13][  2  ]│   │  \n"
+        "  │  [123456] [-11/13] [  2  ]  │  \n"
         "  │   │   │   │   │   │   │   │  \n"
-        " [  1  ] [-123456[  3  ] [ 1/3 ] │  \n"
+        " [  1  ] [-1234567] [  3  ] [ 1/3 ] \n"
         "  │   │   │   │   │   │   │   │  \n"
         "  │  [  2  ]┊[  0  ] [1000000000000]  │  \n"
         "  │   │   │   │   │   │   │   │  \n"

@@ -74,6 +74,12 @@ def test_totally_nontrivial():
     assert not bad
     assert bad.offenders == (0, 2)
     assert bad.to_dict() == {"passed": False, "offenders": [0, 2]}
+    assert is_totally_nontrivial(s for s in (Slope(3, 1), MERIDIAN)).offenders == (1,)
+    for slopes, position, kind in ((["3/1"], 1, "str"), ((Slope(3, 1), 10**5000), 2, "int"),
+                                   ((MERIDIAN, Slope(0, 1), (1, 0)), 3, "tuple")):
+        with pytest.raises(ParameterError, match=f"slope at position {position} is not a "
+                                                 f"Slope: got {kind}$"):
+            is_totally_nontrivial(slopes)
 
 
 def test_parity_criterion_frozen():
@@ -139,6 +145,14 @@ def test_haken_slope_arity_is_an_input_error():
     assert build_topology(d).component_count == 1
     with pytest.raises(ParameterError, match="need 1 slopes"):
         certify_haken(d, parse_slopes("3/1,4/1"))
+    # the arity is checked first, then each item must be a Slope
+    with pytest.raises(ParameterError, match="need 1 slopes"):
+        certify_haken(d, [3, "3/1"])
+    for slopes, position, kind in (([3], 1, "int"), (["3/1"], 1, "str"),
+                                   ((None,), 1, "NoneType"), ((3.0,), 1, "float")):
+        with pytest.raises(ParameterError, match=f"slope at position {position} is not a "
+                                                 f"Slope: got {kind}$"):
+            certify_haken(d, slopes)
 
 
 def test_haken_refuses_uncovered_components():
