@@ -36,7 +36,9 @@ per row, and sets ``is_all_twist`` as it checks the box types.
 ``box_fraction`` and ``surgery``.  A diagram keeps its digest, which
 joins its box texts a row at a time, and ``topology.build_topology``
 keeps on it the labels of its link components, made in one pass down
-``slope_table``.  A diagram has at most ``MAX_BOXES`` boxes.
+``slope_table``.  ``surfaces`` keeps on it ``_spans``, the side spans of
+a path indexed by entry, and ``_reports``, the surface reports by loop
+counts.  A diagram has at most ``MAX_BOXES`` boxes.
 """
 
 from __future__ import annotations
@@ -212,9 +214,11 @@ class PlatDiagram(Record):
                 yield i, j, box
 
     # The fields are frozen, so values derived from them live in the instance
-    # __dict__: the slope table and all-twist flag from __init__, the digest
-    # and build_topology's component labels from first use.  Equality and
-    # hashing read the fields alone.
+    # __dict__: the slope table and all-twist flag from __init__; from first
+    # use, the digest, build_topology's component labels (_components), and
+    # the span ranges (_spans) and surface reports (_reports) that surfaces
+    # shares between the paths of one diagram.  Equality, hashing, repr and
+    # pickling read the fields alone.
 
     @functools.cached_property
     def digest(self) -> str:

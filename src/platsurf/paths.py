@@ -86,6 +86,21 @@ class PathCheck(Record):
         return self.ok
 
 
+def _entry_tuple(path: AllowablePath | Sequence[int]) -> tuple:
+    """``tuple(path)``, or PathError when path is not iterable at all.  A
+    TypeError raised while an iterable path is read passes unchanged."""
+    try:
+        return tuple(path)
+    except TypeError:
+        try:
+            iter(path)
+        except TypeError:
+            raise PathError(
+                f"path is not a sequence of entries: got {type(path).__name__}"
+            ) from None
+        raise
+
+
 def _shape_fault(d: PlatDiagram, entries: tuple, lo: int) -> str | None:
     """The first fault of ``entries`` as d.m ints (a bool is not one) with
     lo <= a_i <= row_length(i) - lo, or None.  lo is 1 for the allowable
@@ -107,14 +122,15 @@ def allowable_entries(
     """The entries of ``path`` as a tuple when it is allowable on d.
 
     Otherwise raises PathError naming the first fault, checked in this
-    order: a 2-bridge diagram (n <= 2) has no allowable path; then the
-    shape (d.m int entries, 1 <= a_i <= row_length(i) - 1); then the
-    step rule, one pair of rows at a time from the top.  That scan runs
-    only when the verdict over the whole tuple fails.
+    order: a 2-bridge diagram (n <= 2) has no allowable path; then a path
+    that is not iterable; then the shape (d.m int entries, 1 <= a_i <=
+    row_length(i) - 1); then the step rule, one pair of rows at a time
+    from the top.  That scan runs only when the verdict over the whole
+    tuple fails.
     """
     if d.n <= 2:
         raise PathError(_TWO_BRIDGE)
-    entries = tuple(path)
+    entries = _entry_tuple(path)
     odd, even = entries[0::2], entries[1::2]
     # an even row's entry is the odd one's above it or one more, so bounding
     # the odd rows by 1..n - 2 and the steps bounds it by 1..n - 1
@@ -150,12 +166,12 @@ def crossing_count(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> int:
 
     Accepts any vector of int entries with 0 <= a_i <= row_length(i),
     allowable or not; the count equals m + 1 exactly on step-rule paths.
-    A wrong length, a non-int entry (a bool included) or an entry out of
-    range raises PathError.  The two endpoints of the corridor each
-    cross one cap arc; interior gap i is crossed |pos(i+1) - pos(i)|
-    times, once per strand position passed.
+    A path that is not iterable, a wrong length, a non-int entry (a bool
+    included) or an entry out of range raises PathError.  The two
+    endpoints of the corridor each cross one cap arc; interior gap i is
+    crossed |pos(i+1) - pos(i)| times, once per strand position passed.
     """
-    entries = tuple(path)
+    entries = _entry_tuple(path)
     if fault := _shape_fault(d, entries, 0):
         raise PathError(fault)
     ps = corridor_positions(entries)

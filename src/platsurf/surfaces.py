@@ -22,6 +22,13 @@ Three surfaces ride on that sphere:
   boundary of a neighborhood of such a component is a separate torus
   piece, counted in ``extra_tori`` and reported but never folded in.
 
+The spans and the reports of a path depend on the diagram, its entries
+and its two loop counts alone, so every path of one diagram shares
+them: the diagram keeps in ``_spans`` one range per entry and side, and
+in ``_reports`` the three reports of each pair of loop counts it has met.
+A decomposition then indexes the kept ranges and builds no range of its
+own, and ``surface_invariants`` builds reports once per pair of counts.
+
 ``assembled_surface_cells`` rebuilds the Euler characteristic from an
 explicit cell structure, operation by operation, as an independent
 check on the closed forms; the test suite and the emitted certificates
@@ -30,7 +37,8 @@ compare the two routes.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import cycle, repeat
+from operator import getitem
 from typing import Sequence
 
 from ._record import Record
@@ -88,6 +96,23 @@ class SphereDecomposition(Record):
         return self.m + 1
 
 
+def _spans(d: PlatDiagram) -> tuple[tuple[range, ...], tuple[range, ...], tuple[range, ...]]:
+    """Indexed by entry a, the left span range(1, a + 1) of any row and the
+    right spans range(a + 1, n) of an odd row and range(a + 1, n + 1) of
+    an even one, made once per diagram and kept on it."""
+    try:
+        return d.__dict__["_spans"]
+    except KeyError:
+        n = d.n
+        cuts = range(1, n + 1)  # a + 1 for a = 0..n - 1
+        spans = d.__dict__["_spans"] = (
+            tuple(map(range, repeat(1), cuts)),
+            tuple(map(range, cuts, repeat(n))),
+            tuple(map(range, cuts, repeat(n + 1))),
+        )
+        return spans
+
+
 def decompose(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> SphereDecomposition:
     """Cut d along the sphere of an allowable path.
 
@@ -96,16 +121,16 @@ def decompose(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> SphereDeco
     box a_i as well, since pos(i) + 1/2 exceeds every strand of that
     box and clears the next one.  Each side receives (m + 1) / 2 arcs
     of the link: every intersection point bounds one arc on each side.
-    The spans are cut at a_i + 1 directly, against row ends n (odd rows)
-    and n + 1 (even rows), one past each row's last box.
+    The spans are cut at a_i + 1, against row ends n (odd rows) and
+    n + 1 (even rows), one past each row's last box; each is read from
+    the diagram's ``_spans`` by its entry.
     """
     entries = allowable_entries(d, path)
     crossing, left_loops, right_loops = sphere_partition(build_topology(d), entries)
 
-    n, m = d.n, len(entries)
-    cuts = [a + 1 for a in entries]
-    left_spans = tuple(map(range, repeat(1, m), cuts))
-    right_spans = tuple(map(range, cuts, ([n, n + 1] * ((m + 1) // 2))[:m]))
+    left_by, odd_by, even_by = _spans(d)
+    left_spans = tuple(map(left_by.__getitem__, entries))
+    right_spans = tuple(map(getitem, cycle((odd_by, even_by)), entries))
     left = SideSummary("left", left_spans, tuple(sorted(left_loops)))
     right = SideSummary("right", right_spans, tuple(sorted(right_loops)))
     return SphereDecomposition(d, AllowablePath(entries), crossing, left, right)
@@ -136,14 +161,25 @@ class SurfaceReport(Record):
 
 
 def surface_invariants(dec: SphereDecomposition) -> tuple[SurfaceReport, ...]:
-    """Closed-form invariants of the planar and the two tubed surfaces."""
-    m = dec.m
-    genus = (m + 1) // 2
-    return (
-        SurfaceReport(PLANAR, 1 - m, 0, m + 1, False),
-        SurfaceReport(TUBED_LEFT, 1 - m, genus, 0, True, dec.left.loop_count),
-        SurfaceReport(TUBED_RIGHT, 1 - m, genus, 0, True, dec.right.loop_count),
-    )
+    """Closed-form invariants of the planar and the two tubed surfaces.
+
+    They depend on m and the two loop counts alone, so each diagram keeps
+    the reports it has made in ``_reports``, keyed by the loop counts.
+    """
+    kept = dec.diagram.__dict__.get("_reports")
+    if kept is None:
+        kept = dec.diagram.__dict__["_reports"] = {}
+    key = (dec.left.loop_count, dec.right.loop_count)
+    reports = kept.get(key)
+    if reports is None:
+        m = dec.m
+        genus = (m + 1) // 2
+        reports = kept[key] = (
+            SurfaceReport(PLANAR, 1 - m, 0, m + 1, False),
+            SurfaceReport(TUBED_LEFT, 1 - m, genus, 0, True, key[0]),
+            SurfaceReport(TUBED_RIGHT, 1 - m, genus, 0, True, key[1]),
+        )
+    return reports
 
 
 def assembled_surface_cells(punctures: int, tubes: int) -> dict:

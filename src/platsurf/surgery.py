@@ -65,10 +65,26 @@ class NontrivialityCheck(Record):
         return {"passed": self.ok, "offenders": list(self.offenders)}
 
 
+def _slope_tuple(slopes: Sequence[Slope]) -> tuple:
+    """``tuple(slopes)``, or ParameterError when slopes is not iterable at
+    all.  A TypeError raised while an iterable is read passes unchanged."""
+    try:
+        return tuple(slopes)
+    except TypeError:
+        try:
+            iter(slopes)
+        except TypeError:
+            raise ParameterError(
+                f"slopes are not a sequence of Slope: got {type(slopes).__name__}"
+            ) from None
+        raise
+
+
 def is_totally_nontrivial(slopes: Sequence[Slope]) -> NontrivialityCheck:
-    """Component ids whose slope is the meridian; an item that is no Slope
-    is an input error, named by its position as in ``parse_slopes``."""
-    slopes = tuple(slopes)
+    """Component ids whose slope is the meridian; slopes that are not
+    iterable, or an item that is no Slope, are an input error, the item
+    named by its position as in ``parse_slopes``."""
+    slopes = _slope_tuple(slopes)
     for k, s in enumerate(slopes, 1):
         if not isinstance(s, Slope):
             raise ParameterError(f"slope at position {k} is not a Slope: got {type(s).__name__}")
@@ -169,9 +185,10 @@ def certify_haken(d: PlatDiagram, slopes: Sequence[Slope]) -> HakenCertificate:
     certificate exists for the same diagram), full slope coverage, and
     no meridian in the tuple.  The slope list must carry exactly one
     slope per component, in canonical component order; a wrong arity is
-    an input error rather than a refusal.
+    an input error rather than a refusal, as are slopes that are not
+    iterable.
     """
-    slopes = tuple(slopes)
+    slopes = _slope_tuple(slopes)
     t = build_topology(d)
     if len(slopes) != t.component_count:
         raise ParameterError(

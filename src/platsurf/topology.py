@@ -54,14 +54,25 @@ does.
 A separating sphere along an allowable path meets the link in m + 1
 pieces: the top cap at pair (pos(1), pos(1)+1), one strand segment per
 interior gap, and the bottom cap at (pos(m), pos(m)+1).  In gap i the
-crossed segment sits at strand max(pos(i), pos(i+1)), which
-``_crossed_strands`` takes pairwise over the positions; the
-geometric simulation in the tests backs this up.  Everything else in
-gap i is strictly left (x below the crossed strand) or strictly right
-(above it); at gaps 0 and m the corridor descends at pos +- 1/2, so the
-threshold is pos itself.  A component the sphere misses is connected and
-has no crossed segment, so it lies wholly on one side, and its start
-segment decides which.
+crossed segment sits at strand max(pos(i), pos(i+1)); the geometric
+simulation in the tests backs this up.  The step rule makes that
+a_i + a_(i+1) + 1 in each of its four cases:
+
+* odd row to even, same entry a: max(2a + 1, 2a) = 2a + 1;
+* odd row to even, entry a + 1: max(2a + 1, 2a + 2) = 2a + 2;
+* even row to odd, same entry a: max(2a, 2a + 1) = 2a + 1;
+* even row to odd, entry a - 1: max(2a, 2a - 1) = 2a.
+
+Gaps 0 and m hold the caps at pos(1) = a_1 + a_1 + 1 and pos(m) =
+a_m + a_m + 1 (rows 1 and m are odd), so ``_crossed_strands`` pads the
+entries with a_1 in front and a_m behind and adds neighbours, one pass
+with no corridor positions.
+
+Everything else in gap i is strictly left (x below the crossed strand)
+or strictly right (above it); at gaps 0 and m the corridor descends at
+pos +- 1/2, so the threshold is pos itself.  A component the sphere
+misses is connected and has no crossed segment, so it lies wholly on
+one side, and its start segment decides which.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 from .diagram import CAPS, SWAP, PlatDiagram, box_strands
 from .errors import PathError, UnsupportedBoxError
-from .paths import AllowablePath, allowable_entries, corridor_positions
+from .paths import AllowablePath, allowable_entries
 
 Segment = tuple[int, int]  # (gap, strand)
 Connector = tuple  # ("top_cap", j) | ("bottom_cap", j) | ("box", i, j) | ("straight", i, x)
@@ -312,10 +323,11 @@ def _crossed_strands(entries: Sequence[int]) -> list[int]:
 
     In gaps 0 and m that is the left strand of the crossed cap.  Strand
     x in gap g lies left of the sphere iff x is below this strand, right
-    iff above.
+    iff above.  Along an allowable path it is a_g + a_(g+1) + 1 in every
+    gap, with a_0 = a_1 and a_(m+1) = a_m: see the module docstring.
     """
-    ps = corridor_positions(entries)
-    return [ps[0], *map(max, ps, ps[1:]), ps[-1]]
+    padded = (entries[0], *entries, entries[-1])
+    return [s + 1 for s in map(add, padded, padded[1:])]
 
 
 def sphere_partition(

@@ -12,16 +12,24 @@ from platsurf import (
     ParameterError,
     PathError,
     PlatDiagram,
+    PlatError,
     TwoBridgeError,
     Twist,
+    build_topology,
+    certify,
+    certify_haken,
     check_allowable,
+    components_meeting_sphere,
     count_allowable,
     crossing_count,
+    decompose,
     enumerate_allowable,
     extremal_paths,
+    is_totally_nontrivial,
     iter_allowable,
     make_diagram,
     random_diagram,
+    render,
 )
 from platsurf.paths import MAX_PATHS, PathCheck, allowable_entries, corridor_positions
 from helpers import brute_force_paths, per_row_allowable_entries, per_row_count
@@ -232,6 +240,7 @@ def test_check_allowable_diagnostics():
     assert "rows 1->2" in check_allowable(d, (1, 3, 2)).reason
     assert "rows 2->3" in check_allowable(d, (1, 1, 2)).reason
     assert check_allowable(d, (1, "x", 1)).reason
+    assert check_allowable(d, 3) == PathCheck(False, "path is not a sequence of entries: got int")
 
 
 def test_for_diagram_raises_on_bad_path():
@@ -254,6 +263,42 @@ def test_crossing_count_input_errors():
         with pytest.raises(PathError, match="is not an int"):
             crossing_count(d, bad)
         assert check_allowable(d, bad).reason.endswith("is not an int")
+
+
+_KNOT = make_diagram(3, 3, [[3, 3], [3, 3, 3], [3, 3]])
+_NOT_A_PATH = "path is not a sequence of entries: got int"
+_NOT_SLOPES = "slopes are not a sequence of Slope: got "
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: decompose(_KNOT, 3), PathError, _NOT_A_PATH),
+    (lambda: certify(_KNOT, path=3), PathError, _NOT_A_PATH),
+    (lambda: AllowablePath.for_diagram(_KNOT, 3), PathError, _NOT_A_PATH),
+    (lambda: components_meeting_sphere(build_topology(_KNOT), 3), PathError, _NOT_A_PATH),
+    (lambda: render(_KNOT, 3), PathError, _NOT_A_PATH),
+    (lambda: crossing_count(_KNOT, 3), PathError, _NOT_A_PATH),
+    (lambda: certify_haken(_KNOT, 3), ParameterError, _NOT_SLOPES + "int"),
+    (lambda: certify_haken(_KNOT, None), ParameterError, _NOT_SLOPES + "NoneType"),
+    (lambda: is_totally_nontrivial(3), ParameterError, _NOT_SLOPES + "int"),
+], ids=["decompose", "certify", "for_diagram", "components_meeting_sphere", "render",
+        "crossing_count", "certify_haken", "certify_haken_none", "is_totally_nontrivial"])
+def test_a_path_or_slopes_that_is_not_iterable_is_an_input_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message and isinstance(info.value, PlatError)
+
+
+def test_a_type_error_inside_an_iterable_is_not_an_input_error():
+    # only a value that cannot be iterated at all reads as bad input; a fault
+    # raised while an iterable is read passes unchanged
+    def broken():
+        yield 1
+        raise TypeError("inner")
+
+    for call in (lambda: decompose(_KNOT, broken()), lambda: check_allowable(_KNOT, broken()),
+                 lambda: certify_haken(_KNOT, broken())):
+        with pytest.raises(TypeError, match="^inner$"):
+            call()
 
 
 def test_extremal_paths():

@@ -1,5 +1,7 @@
 """Sphere decompositions and surface invariants."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from platsurf import (
     TUBED_LEFT,
     TUBED_RIGHT,
     PathError,
+    SurfaceReport,
     assembled_surface_cells,
     build_topology,
     components_strictly_beside,
@@ -85,6 +88,46 @@ def test_surface_invariants_by_m():
             assert rep.euler == 1 - m
             assert rep.genus == (m + 1) // 2
             assert rep.boundary == 0 and rep.closed
+
+
+def test_reports_kept_per_diagram_follow_its_own_m():
+    # even twists pass every strand straight through, so the caps pairs
+    # (1, 2) and (5, 6) are loops left and right of the leftmost path for
+    # any m; the reports kept on each diagram carry its own m
+    diagrams = [make_diagram(3, m, [[2] * (2 if i % 2 else 3) for i in range(1, m + 1)])
+                for m in (1, 5)]
+    for d in diagrams:
+        dec = decompose(d, (1,) * d.m)
+        assert (dec.left.loop_count, dec.right.loop_count) == (1, 1)
+        reports = surface_invariants(dec)
+        genus = (d.m + 1) // 2
+        assert reports == (
+            SurfaceReport(PLANAR, 1 - d.m, 0, d.m + 1, False),
+            SurfaceReport(TUBED_LEFT, 1 - d.m, genus, 0, True, 1),
+            SurfaceReport(TUBED_RIGHT, 1 - d.m, genus, 0, True, 1),
+        )
+        planar = assembled_surface_cells(d.m + 1, 0)
+        tubed = assembled_surface_cells(d.m + 1, genus)
+        assert (planar["euler"], planar["genus"]) == (reports[0].euler, reports[0].genus)
+        for rep in reports[1:]:
+            assert (tubed["euler"], tubed["genus"]) == (rep.euler, rep.genus)
+        again = surface_invariants(decompose(d, (1,) * d.m))
+        assert again == reports and list(map(repr, again)) == list(map(repr, reports))
+    assert surface_invariants(decompose(diagrams[0], (1,)))[0].euler == 0
+    assert surface_invariants(decompose(diagrams[1], (1,) * 5))[0].euler == -4
+
+
+def test_kept_spans_and_reports_stay_out_of_the_diagram_value():
+    d = make_diagram(3, 3, [[2, 4], [3, 3, 3], [3, 3]])
+    fresh = make_diagram(3, 3, [[2, 4], [3, 3, 3], [3, 3]])
+    text, value = repr(d), hash(d)
+    surface_invariants(decompose(d, (1, 1, 1)))
+    assert {"_spans", "_reports"} <= set(d.__dict__)
+    assert repr(d) == text == repr(fresh) and hash(d) == value == hash(fresh)
+    assert d == fresh and fresh == d
+    for copied in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert copied == d and not {"_spans", "_reports"} & set(copied.__dict__)
+    assert pickle.dumps(d) == pickle.dumps(fresh)
 
 
 def test_surface_dicts():

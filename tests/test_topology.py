@@ -16,6 +16,7 @@ from platsurf import (
     certify_haken,
     components_meeting_sphere,
     components_strictly_beside,
+    count_allowable,
     crossing_components,
     crossing_pieces,
     decompose,
@@ -23,6 +24,7 @@ from platsurf import (
     diagram_to_json,
     enumerate_allowable,
     extremal_paths,
+    iter_allowable,
     make_diagram,
     random_diagram,
     topology,
@@ -31,7 +33,8 @@ from platsurf.cli import main
 from platsurf.topology import component_cycles
 from helpers import plat_cycle_count, random_all_twist, random_shape, trace_sides
 from helpers import random_mixed, row_len, union_find_components, walk_labels
-from helpers import per_gap_crossing_pieces, per_gap_decompose, per_gap_sphere_partition
+from helpers import per_gap_crossing_pieces, per_gap_crossed_strands, per_gap_decompose
+from helpers import per_gap_sphere_partition
 
 
 def test_straight_through_diagram_components():
@@ -327,6 +330,21 @@ def test_sphere_reads_equal_the_per_gap_oracle():
             checked += 1
             with_loops += bool(left and right)
     assert checked > 16_000 and with_loops > 100
+
+
+def test_crossed_strands_are_entry_sums():
+    # a_g + a_(g+1) + 1 over the entries padded with a_1 and a_m equals the
+    # per-gap max of corridor positions on every allowable path of n 3-8,
+    # m 1-13, and on both extremal paths of a 40-pair plat
+    checked = 0
+    for n in range(3, 9):
+        for m in range(1, 14, 2):
+            for p in iter_allowable(random_diagram(n, m, seed=n * m)):
+                assert topology._crossed_strands(p.entries) == per_gap_crossed_strands(p.entries)
+                checked += 1
+    assert checked == sum(count_allowable(n, m) for n in range(3, 9) for m in range(1, 14, 2))
+    for p in extremal_paths(random_diagram(40, 41, seed=1)):
+        assert topology._crossed_strands(p.entries) == per_gap_crossed_strands(p.entries)
 
 
 def test_sphere_path_must_be_allowable():
