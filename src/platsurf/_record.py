@@ -2,10 +2,11 @@
 (and in ``__slots__``, unless it keeps an instance ``__dict__``).  A class
 that only stores its fields defines no ``__init__``: ``Record`` writes one
 that takes the fields in order, with the trailing defaults, if any, in the
-class tuple ``_defaults``, and stores each field that is a slot, its own
-or one inherited, through that slot's setter.  A class that checks or
-converts its arguments writes its own ``__init__`` and stores each field
-with ``set_field``.
+class tuple ``_defaults``, and stores each field through the setter of
+its slot, its own or one inherited; a field that is no slot then fails at
+class creation.  A class that checks or converts its arguments, or keeps
+an instance ``__dict__``, writes its own ``__init__`` and stores each
+field with ``set_field``.
 ``Record`` prints, compares and hashes a record by its fields and refuses
 assignment."""
 
@@ -16,33 +17,28 @@ set_field = object.__setattr__  # passes Record.__setattr__; for __init__ only
 
 def _slot_setter(cls: type, name: str):
     """The ``__set__`` of the slot that holds field ``name`` on cls, found
-    through the MRO so inherited slots count; None when it is not a slot."""
+    through the MRO so inherited slots count; TypeError when it is not a slot."""
     for klass in cls.__mro__:
         if name in klass.__dict__:
             member = klass.__dict__[name]
-            return member.__set__ if isinstance(member, MemberDescriptorType) else None
-    return None
+            if isinstance(member, MemberDescriptorType):
+                return member.__set__
+            break
+    raise TypeError(f"{cls.__qualname__}.{name} is no slot: the class needs its own __init__")
 
 
 def _storing_init(cls: type):
     # written out as source, one line per field, as dataclasses and
     # namedtuple build theirs: a loop over _fields builds each record a
-    # quarter to a half slower.  A slot field is stored by its member
+    # quarter to a half slower.  Each field is stored by its slot's member
     # descriptor's own setter, which skips the attribute lookup that
     # set_field makes by name on every call; a 6-field record builds about
-    # a third faster so.  Any other field is stored with set_field.
+    # a third faster so.
     fields = cls._fields
-    scope: dict = {"set_field": set_field}
-    lines = []
-    for name in fields:
-        setter = _slot_setter(cls, name)
-        if setter is None:
-            lines.append(f"\n    set_field(self, {name!r}, {name})")
-        else:
-            scope[f"_set_{name}"] = setter
-            lines.append(f"\n    _set_{name}(self, {name})")
+    scope = {f"_set_{name}": _slot_setter(cls, name) for name in fields}
+    lines = "".join(f"\n    _set_{name}(self, {name})" for name in fields)
     local: dict = {}
-    exec(f"def __init__(self, {', '.join(fields)}):{''.join(lines)}", scope, local)
+    exec(f"def __init__(self, {', '.join(fields)}):{lines}", scope, local)
     init = local["__init__"]
     init.__defaults__ = cls.__dict__.get("_defaults")
     init.__qualname__ = f"{cls.__qualname__}.__init__"

@@ -52,7 +52,7 @@ import re  # json imports it already
 from typing import TYPE_CHECKING, Any, Iterator, Sequence, Union
 
 from ._record import Record, set_field
-from .errors import MalformedDiagramError, ParameterError
+from .errors import MalformedDiagramError, ParameterError, _as_tuple
 
 if TYPE_CHECKING:
     from .tangles import TangleFraction
@@ -63,6 +63,8 @@ RELAXED = "relaxed"
 END_BOUND = {STRICT: 3, RELAXED: 2}
 MAX_BOXES = 10**6
 _LEVEL_0 = re.compile(b"[\0-\2]")  # the slope codes of level 0: boxes of denominator 0
+_NOT_ROWS = "rows are not a sequence of rows"
+_NOT_A_ROW = "row %d is not a sequence of boxes"
 
 # pairing codes of the slope table, in the order tangles.Pairing lists them
 IDENTITY, SWAP, CAPS = range(3)
@@ -79,6 +81,12 @@ def _int_text(fmt: str, *ints: int) -> str | None:
         return fmt % ints
     except ValueError:
         return None
+
+
+def _check_ints(error: type[Exception], what: str, *values: object) -> None:
+    for v in values:  # a bool is no int here
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise error(f"{what} must be ints, got {v!r}")
 
 
 class Twist(Record):
@@ -105,9 +113,7 @@ class Rational(Record):
     __slots__ = ("p", "q", "_code", "_json")
 
     def __init__(self, p: int, q: int) -> None:
-        for v in (p, q):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise MalformedDiagramError(f"rational box entries must be ints, got {v!r}")
+        _check_ints(MalformedDiagramError, "rational box entries", p, q)
         if (p, q) == (0, 0):
             raise MalformedDiagramError("rational box 0/0 is not a tangle")
         if math.gcd(abs(p), abs(q)) != 1:
@@ -160,7 +166,8 @@ def box_strands(i: int, j: int) -> tuple[int, int]:
 
 
 class PlatDiagram(Record):
-    """A 2n-plat projection: n strand pairs, m rows of boxes, m odd."""
+    """A 2n-plat projection: n strand pairs, m rows of boxes, m odd.
+    ``rows`` is stored as ``tuple(rows)``."""
 
     _fields = ("n", "m", "rows")  # no __slots__: derived values live in __dict__
 
@@ -174,23 +181,24 @@ class PlatDiagram(Record):
                 f"m = {m} is even: a plat needs an odd number of rows "
                 "(an even count leaves the bottom caps misaligned)"
             )
+        rows = _as_tuple(rows, MalformedDiagramError, _NOT_ROWS)
         if len(rows) != m:
-            raise MalformedDiagramError(
-                f"expected {m} rows, got {len(rows)}"
-            )
+            raise MalformedDiagramError(f"expected {m} rows, got {len(rows)}")
         kinds: set[type] = set()
         table = []
-        for i, row in enumerate(rows, 1):
-            want = row_length(n, i)
-            if len(row) != want:
-                raise MalformedDiagramError(
-                    f"row {i} has {len(row)} boxes, expected {want}"
-                )
-            kinds.update(map(type, row))
-            if not _BOX_TYPES.issuperset(kinds):
-                bad = next(b for b in row if type(b) not in _BOX_TYPES)
-                raise MalformedDiagramError(f"row {i}: bad box {bad!r}")
-            table.append(bytes(map(_code_of, row)))
+        try:
+            for i, row in enumerate(rows, 1):
+                want = row_length(n, i)
+                if len(row) != want:
+                    raise MalformedDiagramError(f"row {i} has {len(row)} boxes, expected {want}")
+                kinds.update(map(type, row))
+                if not _BOX_TYPES.issuperset(kinds):
+                    bad = next(b for b in row if type(b) not in _BOX_TYPES)
+                    raise MalformedDiagramError(f"row {i}: bad box {bad!r}")
+                table.append(bytes(map(_code_of, row)))
+        except TypeError:  # a row that cannot be iterated is bad input; else re-raise
+            _as_tuple(row, MalformedDiagramError, _NOT_A_ROW % i)
+            raise
         set_field(self, "n", n)
         set_field(self, "m", m)
         set_field(self, "rows", rows)
@@ -239,27 +247,33 @@ class PlatDiagram(Record):
 
 def make_diagram(n: int, m: int, rows: Sequence[Sequence[Any]]) -> PlatDiagram:
     """Build a diagram, coercing ints to shared Twists and (p, q) pairs to
-    Rational."""
+    Rational.  Rows, or a row, that cannot be iterated are a
+    MalformedDiagramError, by the rule of ``errors._as_tuple``."""
     if isinstance(n, int) and isinstance(m, int):
         _check_box_count(n, m, MalformedDiagramError)
     twists: dict[int, Twist] = {}
     built = []
-    for row in rows:
-        boxes = []
-        for box in row:
-            if type(box) is int:  # True and 1.0 equal 1 as keys, so test the type first
-                twist = twists.get(box)
-                if twist is None:
-                    twist = twists[box] = Twist(box)
-                box = twist
-            elif isinstance(box, int) and not isinstance(box, bool):
-                box = Twist(box)
-            elif isinstance(box, (list, tuple)) and len(box) == 2:
-                box = Rational(box[0], box[1])
-            elif not isinstance(box, (Twist, Rational)):
-                raise MalformedDiagramError(f"bad box value {box!r}")
-            boxes.append(box)
-        built.append(tuple(boxes))
+    rows = _as_tuple(rows, MalformedDiagramError, _NOT_ROWS)
+    try:  # as in PlatDiagram, a row is checked only once a TypeError stops the pass
+        for row in rows:
+            boxes = []
+            for box in row:
+                if type(box) is int:  # True and 1.0 equal 1 as keys, so test the type first
+                    twist = twists.get(box)
+                    if twist is None:
+                        twist = twists[box] = Twist(box)
+                    box = twist
+                elif isinstance(box, int) and not isinstance(box, bool):
+                    box = Twist(box)
+                elif isinstance(box, (list, tuple)) and len(box) == 2:
+                    box = Rational(box[0], box[1])
+                elif not isinstance(box, (Twist, Rational)):
+                    raise MalformedDiagramError(f"bad box value {box!r}")
+                boxes.append(box)
+            built.append(tuple(boxes))
+    except TypeError:
+        _as_tuple(row, MalformedDiagramError, _NOT_A_ROW % (len(built) + 1))
+        raise
     return PlatDiagram(n, m, tuple(built))
 
 

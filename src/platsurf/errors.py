@@ -5,6 +5,10 @@ with a single except clause.  The CLI maps these onto exit code 2
 (malformed input), while refusals that are *verdicts* rather than errors
 (failed hypotheses, two-bridge exclusion in certification) are reported
 through result objects and exit code 1.
+
+``_as_tuple`` is the one home of the rule that an argument which cannot be
+iterated at all (a path, slopes, rows, a row) is an input error of the
+caller's class; a ``TypeError`` raised as an iterable is read passes.
 """
 
 from __future__ import annotations
@@ -37,3 +41,15 @@ class UnsupportedBoxError(PlatError):
 class MalformedPDCodeError(PlatError):
     """A PD code's crossing is not four int labels, or its arc labels do not
     each appear exactly twice."""
+
+
+def _as_tuple(value: object, error: type[PlatError], what: str) -> tuple:
+    """``tuple(value)``, or ``error(f"{what}: got <type>")`` when ``iter`` fails too."""
+    try:
+        return tuple(value)
+    except TypeError:
+        try:
+            iter(value)
+        except TypeError:
+            raise error(f"{what}: got {type(value).__name__}") from None
+        raise

@@ -38,11 +38,12 @@ from typing import Iterator, Sequence
 
 from ._record import Record, set_field
 from .diagram import PlatDiagram, row_length
-from .errors import ParameterError, PathError, TwoBridgeError
+from .errors import ParameterError, PathError, TwoBridgeError, _as_tuple
 
 
 _TWO_BRIDGE = "a 2-bridge plat (n <= 2) admits no allowable paths"
 MAX_PATHS = 10**6  # the most paths enumerate_allowable builds at once
+_NOT_A_PATH = "path is not a sequence of entries"
 
 
 def corridor_positions(entries: Sequence[int]) -> tuple[int, ...]:
@@ -57,7 +58,7 @@ class AllowablePath(Record):
     __slots__ = _fields = ("entries",)
 
     def __init__(self, entries: Sequence[int]) -> None:
-        set_field(self, "entries", tuple(entries))
+        set_field(self, "entries", _as_tuple(entries, PathError, _NOT_A_PATH))
 
     @classmethod
     def for_diagram(cls, d: PlatDiagram, entries: Sequence[int]) -> "AllowablePath":
@@ -84,21 +85,6 @@ class PathCheck(Record):
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _entry_tuple(path: AllowablePath | Sequence[int]) -> tuple:
-    """``tuple(path)``, or PathError when path is not iterable at all.  A
-    TypeError raised while an iterable path is read passes unchanged."""
-    try:
-        return tuple(path)
-    except TypeError:
-        try:
-            iter(path)
-        except TypeError:
-            raise PathError(
-                f"path is not a sequence of entries: got {type(path).__name__}"
-            ) from None
-        raise
 
 
 def _shape_fault(d: PlatDiagram, entries: tuple, lo: int) -> str | None:
@@ -130,7 +116,7 @@ def allowable_entries(
     """
     if d.n <= 2:
         raise PathError(_TWO_BRIDGE)
-    entries = _entry_tuple(path)
+    entries = _as_tuple(path, PathError, _NOT_A_PATH)
     odd, even = entries[0::2], entries[1::2]
     # an even row's entry is the odd one's above it or one more, so bounding
     # the odd rows by 1..n - 2 and the steps bounds it by 1..n - 1
@@ -171,7 +157,7 @@ def crossing_count(d: PlatDiagram, path: AllowablePath | Sequence[int]) -> int:
     endpoints of the corridor each cross one cap arc; interior gap i is
     crossed |pos(i+1) - pos(i)| times, once per strand position passed.
     """
-    entries = _entry_tuple(path)
+    entries = _as_tuple(path, PathError, _NOT_A_PATH)
     if fault := _shape_fault(d, entries, 0):
         raise PathError(fault)
     ps = corridor_positions(entries)

@@ -31,7 +31,7 @@ from typing import Sequence
 from ._record import Record
 from .certificates import MODE_SURGERY, Certificate, certificate_json
 from .diagram import PlatDiagram, Twist
-from .errors import ParameterError, TwoBridgeError
+from .errors import ParameterError, TwoBridgeError, _as_tuple
 from .paths import extremal_paths
 from .tangles import TangleFraction
 from .topology import build_topology, sphere_partition
@@ -40,6 +40,7 @@ from .topology import build_topology, sphere_partition
 # boundary torus; 1/0 is the meridian
 Slope = TangleFraction
 MERIDIAN = Slope(1, 0)
+_NOT_SLOPES = "slopes are not a sequence of Slope"
 
 
 def parse_slopes(text: str) -> tuple[Slope, ...]:
@@ -65,26 +66,11 @@ class NontrivialityCheck(Record):
         return {"passed": self.ok, "offenders": list(self.offenders)}
 
 
-def _slope_tuple(slopes: Sequence[Slope]) -> tuple:
-    """``tuple(slopes)``, or ParameterError when slopes is not iterable at
-    all.  A TypeError raised while an iterable is read passes unchanged."""
-    try:
-        return tuple(slopes)
-    except TypeError:
-        try:
-            iter(slopes)
-        except TypeError:
-            raise ParameterError(
-                f"slopes are not a sequence of Slope: got {type(slopes).__name__}"
-            ) from None
-        raise
-
-
 def is_totally_nontrivial(slopes: Sequence[Slope]) -> NontrivialityCheck:
     """Component ids whose slope is the meridian; slopes that are not
     iterable, or an item that is no Slope, are an input error, the item
     named by its position as in ``parse_slopes``."""
-    slopes = _slope_tuple(slopes)
+    slopes = _as_tuple(slopes, ParameterError, _NOT_SLOPES)
     for k, s in enumerate(slopes, 1):
         if not isinstance(s, Slope):
             raise ParameterError(f"slope at position {k} is not a Slope: got {type(s).__name__}")
@@ -188,7 +174,7 @@ def certify_haken(d: PlatDiagram, slopes: Sequence[Slope]) -> HakenCertificate:
     an input error rather than a refusal, as are slopes that are not
     iterable.
     """
-    slopes = _slope_tuple(slopes)
+    slopes = _as_tuple(slopes, ParameterError, _NOT_SLOPES)
     t = build_topology(d)
     if len(slopes) != t.component_count:
         raise ParameterError(

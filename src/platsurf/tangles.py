@@ -32,7 +32,7 @@ import math
 from typing import Iterable
 
 from ._record import Record, set_field
-from .diagram import _slope_code
+from .diagram import _check_ints, _slope_code
 from .errors import ParameterError
 
 
@@ -46,6 +46,7 @@ class TangleFraction(Record):
     __slots__ = _fields = ("p", "q")
 
     def __init__(self, p: int, q: int) -> None:
+        _check_ints(ParameterError, "fraction entries", p, q)
         if q < 0:
             raise ParameterError(f"fraction {p}/{q} not canonical: q < 0")
         if q == 0 and p != 1:
@@ -58,6 +59,7 @@ class TangleFraction(Record):
     @classmethod
     def of(cls, p: int, q: int) -> "TangleFraction":
         """Canonicalize an arbitrary integer pair (p, q) != (0, 0)."""
+        _check_ints(ParameterError, "fraction entries", p, q)
         if (p, q) == (0, 0):
             raise ParameterError("0/0 is not a slope")
         if q == 0:

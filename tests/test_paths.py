@@ -9,6 +9,7 @@ import pytest
 
 from platsurf import (
     AllowablePath,
+    MalformedDiagramError,
     ParameterError,
     PathError,
     PlatDiagram,
@@ -280,8 +281,21 @@ _NOT_SLOPES = "slopes are not a sequence of Slope: got "
     (lambda: certify_haken(_KNOT, 3), ParameterError, _NOT_SLOPES + "int"),
     (lambda: certify_haken(_KNOT, None), ParameterError, _NOT_SLOPES + "NoneType"),
     (lambda: is_totally_nontrivial(3), ParameterError, _NOT_SLOPES + "int"),
+    (lambda: AllowablePath(3), PathError, _NOT_A_PATH),
+    (lambda: make_diagram(3, 3, 3), MalformedDiagramError, "rows are not a sequence of rows: got int"),
+    (lambda: make_diagram(3, 3, None), MalformedDiagramError,
+     "rows are not a sequence of rows: got NoneType"),
+    (lambda: make_diagram(3, 3, [3, 3, 3]), MalformedDiagramError,
+     "row 1 is not a sequence of boxes: got int"),
+    (lambda: make_diagram(3, 3, [[3, 3], [3, 3, 3], 3]), MalformedDiagramError,
+     "row 3 is not a sequence of boxes: got int"),
+    (lambda: PlatDiagram(3, 3, 3), MalformedDiagramError, "rows are not a sequence of rows: got int"),
+    (lambda: PlatDiagram(3, 3, [_KNOT.rows[0], None, _KNOT.rows[2]]), MalformedDiagramError,
+     "row 2 is not a sequence of boxes: got NoneType"),
 ], ids=["decompose", "certify", "for_diagram", "components_meeting_sphere", "render",
-        "crossing_count", "certify_haken", "certify_haken_none", "is_totally_nontrivial"])
+        "crossing_count", "certify_haken", "certify_haken_none", "is_totally_nontrivial",
+        "AllowablePath", "make_diagram", "make_diagram_none", "make_diagram_row",
+        "make_diagram_last_row", "PlatDiagram", "PlatDiagram_row"])
 def test_a_path_or_slopes_that_is_not_iterable_is_an_input_error(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -295,8 +309,14 @@ def test_a_type_error_inside_an_iterable_is_not_an_input_error():
         yield 1
         raise TypeError("inner")
 
+    def broken_rows():
+        yield [3, 3]
+        raise TypeError("inner")
+
     for call in (lambda: decompose(_KNOT, broken()), lambda: check_allowable(_KNOT, broken()),
-                 lambda: certify_haken(_KNOT, broken())):
+                 lambda: certify_haken(_KNOT, broken()), lambda: AllowablePath(broken()),
+                 lambda: make_diagram(3, 3, broken_rows()),
+                 lambda: make_diagram(3, 3, [[3, 3], broken(), [3, 3]])):
         with pytest.raises(TypeError, match="^inner$"):
             call()
 

@@ -47,6 +47,11 @@ def test_invalid_fractions():
         TangleFraction.from_continued_fraction([])
     with pytest.raises(ParameterError, match="^empty continued fraction$"):
         pairing_by_tracing([])
+    # p and q are ints, a bool not one, as in a Rational box
+    for p, q in ((1.5, 1), (1, "2"), (None, 1), (True, 1), (1, 2.0)):
+        for build in (TangleFraction, TangleFraction.of):
+            with pytest.raises(ParameterError, match="^fraction entries must be ints, got "):
+                build(p, q)
 
 
 def _all_reduced(limit):
