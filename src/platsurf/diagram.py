@@ -167,7 +167,7 @@ def box_strands(i: int, j: int) -> tuple[int, int]:
 
 class PlatDiagram(Record):
     """A 2n-plat projection: n strand pairs, m rows of boxes, m odd.
-    ``rows`` is stored as ``tuple(rows)``."""
+    ``rows`` is stored as ``tuple(rows)``; a row with no length is refused."""
 
     _fields = ("n", "m", "rows")  # no __slots__: derived values live in __dict__
 
@@ -196,8 +196,11 @@ class PlatDiagram(Record):
                     bad = next(b for b in row if type(b) not in _BOX_TYPES)
                     raise MalformedDiagramError(f"row {i}: bad box {bad!r}")
                 table.append(bytes(map(_code_of, row)))
-        except TypeError:  # a row that cannot be iterated is bad input; else re-raise
-            _as_tuple(row, MalformedDiagramError, _NOT_A_ROW % i)
+        except TypeError:  # a row with no length or no iterator is bad input; else re-raise
+            try:
+                len(row), iter(row)
+            except TypeError:
+                raise MalformedDiagramError(f"{_NOT_A_ROW % i}: got {type(row).__name__}") from None
             raise
         set_field(self, "n", n)
         set_field(self, "m", m)
@@ -374,6 +377,7 @@ def random_diagram(
     some odd row starts with an odd twist count and some odd row ends
     with one (the slope-coverage parity criterion).
     """
+    _check_ints(ParameterError, "n, m and max_twist", n, m, max_twist)
     if n < 3:
         raise ParameterError("random_diagram needs n >= 3")
     if m < 1 or m % 2 == 0:

@@ -52,12 +52,12 @@ list is built.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import Iterable
 
 from ._record import Record, set_field
 from .diagram import PlatDiagram, Twist, box_strands
-from .errors import MalformedPDCodeError, ParameterError, UnsupportedBoxError
+from .errors import MalformedPDCodeError, ParameterError, UnsupportedBoxError, _as_tuple
 from .topology import _cycles, swap_permutation
 
 MAX_PD_CROSSINGS = 10**6
@@ -121,9 +121,10 @@ class PDCode(Record):
     __slots__ = _fields = ("crossings",)
 
     def __init__(self, crossings: Iterable[Iterable[int]]) -> None:
-        try:
-            quads = tuple([tuple(quad) for quad in crossings])
-        except TypeError:  # the crossings, or one of them, no sequence
+        try:  # by the rule of errors._as_tuple, reworded to name the whole code
+            quads = tuple([_as_tuple(q, MalformedPDCodeError, "crossing")
+                           for q in _as_tuple(crossings, MalformedPDCodeError, "crossings")])
+        except MalformedPDCodeError:
             raise MalformedPDCodeError(
                 f"malformed PD code: crossings {crossings!r} are not sequences of labels"
             ) from None
@@ -194,19 +195,13 @@ def to_pd_code(d: PlatDiagram) -> PDCode:
     # odd rows gain a zero box at either end for their uncovered outer
     # strands, and a zero row above and below stands for the caps
     caps = [0] * (d.n + 1)
-    twists, first = [caps], [caps]
-    crossings = 0
+    twists, first = [caps], [caps]  # each row of first ends on the running total
     for i, row in enumerate(d.rows, 1):
         a_row = [box.a for box in row]
-        if i % 2 == 1:
-            a_row = [0, *a_row, 0]
-        starts = []
-        for a in a_row:
-            starts.append(crossings)
-            crossings += abs(a)
-        twists.append(a_row)
-        first.append(starts)
+        twists.append([0, *a_row, 0] if i & 1 else a_row)
+        first.append(list(accumulate(map(abs, twists[-1]), initial=first[-1][-1])))
     twists.append(caps)
+    crossings = first[-1][-1]
     if crossings == 0:
         raise UnsupportedBoxError("diagram has no crossings; PD code is undefined")
     if crossings > MAX_PD_CROSSINGS:

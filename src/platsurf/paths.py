@@ -37,7 +37,7 @@ from operator import sub
 from typing import Iterator, Sequence
 
 from ._record import Record, set_field
-from .diagram import PlatDiagram, row_length
+from .diagram import PlatDiagram, _check_ints, row_length
 from .errors import ParameterError, PathError, TwoBridgeError, _as_tuple
 
 
@@ -234,6 +234,7 @@ def count_allowable(n: int, m: int) -> int:
     The step rule reads the same upward, so as many paths reach each entry of
     the middle row k + 1, k = m // 2, from below as from above: the count is
     the sum of their squares, carried down k rows, about m * n / 2 additions."""
+    _check_ints(ParameterError, "n and m", n, m)
     if m < 1 or m % 2 == 0:
         raise ParameterError("m must be odd and positive")
     k = m // 2

@@ -45,6 +45,8 @@ _NOT_SLOPES = "slopes are not a sequence of Slope"
 
 def parse_slopes(text: str) -> tuple[Slope, ...]:
     """Comma-separated slope list, e.g. '3/1,5/2,1/0'; no item may be empty."""
+    if not isinstance(text, str):
+        raise ParameterError(f"slope list must be a str, got {text!r}")
     if not text.strip():
         raise ParameterError("empty slope list")
     items = text.split(",")

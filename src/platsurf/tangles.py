@@ -72,6 +72,8 @@ class TangleFraction(Record):
     @classmethod
     def parse(cls, text: str) -> "TangleFraction":
         """Read ``p/q`` or ``p`` (for p/1), canonicalizing as ``of`` does."""
+        if not isinstance(text, str):
+            raise ParameterError(f"slope text must be a str, got {text!r}")
         parts = text.strip().split("/")
         try:
             if len(parts) == 1:

@@ -145,22 +145,14 @@ def _cycles(d: PlatDiagram) -> Iterator[list[int]]:
 
 def _connector(d: PlatDiagram, e: int) -> Connector:
     """The cap, box or straight stretch joining end e to its partner."""
-    w = 2 * d.n
-    g, x = divmod(e >> 1, w)
-    x += 1
-    if e & 1:  # a bottom end meets the row below its gap
-        if g == d.m:
-            return ("bottom_cap", (x + 1) // 2)
-        i = g + 1
-    else:
-        if g == 0:
-            return ("top_cap", (x + 1) // 2)
-        i = g
-    if i % 2 == 0:
-        return ("box", i, (x + 1) // 2)
-    if x == 1 or x == w:  # odd rows leave the outer strands uncovered
-        return ("straight", i, x)
-    return ("box", i, x // 2)
+    g, x = divmod(e >> 1, 2 * d.n)  # x counts strands from 0 here
+    i = g + (e & 1)  # the row that end e meets; rows 0 and m + 1 are the caps
+    j = (x + 2 - (i & 1)) >> 1  # its box or cap, counted from 1
+    if i == 0 or i > d.m:
+        return ("top_cap" if i == 0 else "bottom_cap", j)
+    if i & 1 and j in (0, d.n):  # odd rows leave the outer strands uncovered
+        return ("straight", i, x + 1)
+    return ("box", i, j)
 
 
 class LinkTopology:

@@ -141,7 +141,8 @@ def test_criterion_04_surface_invariants(announce):
     for d in _strict_corpus():
         m = d.m
         for path in enumerate_allowable(d):
-            planar, left, right = surface_invariants(decompose(d, path))
+            dec = decompose(d, path)
+            planar, left, right = surface_invariants(dec)
             open_cells = assembled_surface_cells(m + 1, 0)
             closed_cells = assembled_surface_cells(m + 1, (m + 1) // 2)
             checks = (
@@ -150,6 +151,7 @@ def test_criterion_04_surface_invariants(announce):
                 left.genus == right.genus == (m + 1) // 2 == closed_cells["genus"],
                 left.euler == right.euler == closed_cells["euler"],
                 (left.genus >= 2) == (m >= 3),
+                (left.extra_tori, right.extra_tori) == (dec.left.loop_count, dec.right.loop_count),
             )
             if not all(checks):
                 problems.append((d, path.entries, checks))

@@ -184,6 +184,24 @@ def test_counts_print_exactly_past_the_digit_limit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _random_40_by_41(tmp_path, capsys):
+    """The 40-pair, 41-row diagram of ``platsurf random --n 40 --m 41 --seed 7``."""
+    big = tmp_path / "big.json"
+    assert main(["random", "--n", "40", "--m", "41", "--seed", "7", "--out", str(big)]) == 0
+    assert capsys.readouterr() == ("", "")
+    return str(big)
+
+
+def _stdout_and_out(argv, out, capsys):
+    """Run argv to stdout, then with ``--out``: the exit codes and bytes must
+    agree and nothing reach stdout the second time.  Returns the bytes."""
+    code = main(argv)
+    stdout = capsys.readouterr().out.encode()
+    assert main([*argv, "--out", str(out)]) == code and capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout, argv
+    return stdout
+
+
 def test_certify_exit_codes(write_diagram, capsys, tmp_path):
     good = write_diagram(ALL_THREES, 3, 3)
     assert main(["certify", good]) == 0
@@ -201,7 +219,7 @@ def test_certify_exit_codes(write_diagram, capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["mode"] == "relaxed_remark1"
 
 
-def test_certify_composite_and_paths(write_diagram, capsys):
+def test_certify_composite_and_paths(write_diagram, capsys, tmp_path):
     flat = write_diagram([[3, 4, 3]], 4, 1)
     assert main(["certify", "--mode", "composite", flat]) == 0
     capsys.readouterr()
@@ -212,12 +230,21 @@ def test_certify_composite_and_paths(write_diagram, capsys):
     assert main(["certify", tall, "--path", "1,2,1"]) == 0
     assert json.loads(capsys.readouterr().out)["path"] == [1, 2, 1]
     assert main(["certify", tall, "--path", "1,3,1"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr() == ("", "error: row 2: entry 3 outside allowable range 1..2\n")
     assert main(["certify", tall, "--path", "one"]) == 2
     capsys.readouterr()
     # an empty path is a bad path, not the default one
     assert main(["certify", tall, "--path="]) == 2
     assert "bad path ''" in capsys.readouterr().err
+
+    # on 41 rows the rightmost and a zig-zag path certify along the given
+    # entries, and a path whose only fault is its last step names that step
+    big = _random_40_by_41(tmp_path, capsys)
+    for entries in ([38, 39] * 20 + [38], [1, 2] * 20 + [1]):
+        argv = ["certify", big, "--path", ",".join(map(str, entries))]
+        assert json.loads(_stdout_and_out(argv, tmp_path / "cert.json", capsys))["path"] == entries
+    assert main(["certify", big, "--path", ",".join(["1"] * 40 + ["2"])]) == 2
+    assert capsys.readouterr() == ("", "error: rows 40->41: step 1->2 not in (0, 1)\n")
 
 
 def test_certify_unknown_mode_is_usage_error(write_diagram):
@@ -283,6 +310,15 @@ def test_render_to_file(write_diagram, tmp_path, capsys):
         assert main([*argv, "--out="]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: cannot write : "), argv
+    # stdout and --out carry the same bytes, on the knot and on 40 x 41
+    for argv in (["certify", d], ["surgery", d, "--slopes", "3/1"],
+                 ["export", d, "--format", "pd"], ["render", d, "--format", "ascii"],
+                 ["random", "--n", "3", "--m", "3", "--seed", "1"]):
+        _stdout_and_out(argv, tmp_path / "out", capsys)
+    big = _random_40_by_41(tmp_path, capsys)
+    for argv in (["certify", big], ["export", big, "--format", "pd"], ["render", big],
+                 ["render", big, "--format", "ascii", "--path", ",".join(["1"] * 41)]):
+        _stdout_and_out(argv, tmp_path / "out", capsys)
 
 
 def test_random_roundtrip_and_determinism(tmp_path, capsys):

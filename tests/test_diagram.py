@@ -203,6 +203,12 @@ def test_random_diagram_parameter_errors():
         random_diagram(3, 4)
     with pytest.raises(ParameterError):
         random_diagram(3, 3, max_twist=2)
+    # each is checked before any comparison; a bool is no int
+    for args, kwargs, bad in ((("3", 3), {}, "'3'"), ((3.0, 3), {}, "3.0"),
+                              ((4, 3), {"max_twist": None}, "None"), ((3, True), {}, "True")):
+        with pytest.raises(ParameterError) as info:
+            random_diagram(*args, **kwargs)
+        assert str(info.value) == f"n, m and max_twist must be ints, got {bad}"
 
 
 def test_reflection():

@@ -12,6 +12,7 @@ from platsurf import (
     MalformedDiagramError,
     ParameterError,
     PathError,
+    PDCode,
     PlatDiagram,
     PlatError,
     TwoBridgeError,
@@ -292,10 +293,12 @@ _NOT_SLOPES = "slopes are not a sequence of Slope: got "
     (lambda: PlatDiagram(3, 3, 3), MalformedDiagramError, "rows are not a sequence of rows: got int"),
     (lambda: PlatDiagram(3, 3, [_KNOT.rows[0], None, _KNOT.rows[2]]), MalformedDiagramError,
      "row 2 is not a sequence of boxes: got NoneType"),
+    (lambda: PlatDiagram(3, 3, (_KNOT.rows[0], iter(_KNOT.rows[1]), _KNOT.rows[2])),
+     MalformedDiagramError, "row 2 is not a sequence of boxes: got tuple_iterator"),
 ], ids=["decompose", "certify", "for_diagram", "components_meeting_sphere", "render",
         "crossing_count", "certify_haken", "certify_haken_none", "is_totally_nontrivial",
         "AllowablePath", "make_diagram", "make_diagram_none", "make_diagram_row",
-        "make_diagram_last_row", "PlatDiagram", "PlatDiagram_row"])
+        "make_diagram_last_row", "PlatDiagram", "PlatDiagram_row", "PlatDiagram_row_no_len"])
 def test_a_path_or_slopes_that_is_not_iterable_is_an_input_error(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -313,10 +316,15 @@ def test_a_type_error_inside_an_iterable_is_not_an_input_error():
         yield [3, 3]
         raise TypeError("inner")
 
+    def broken_crossings():
+        yield (1, 2, 3, 4)
+        raise TypeError("inner")
+
     for call in (lambda: decompose(_KNOT, broken()), lambda: check_allowable(_KNOT, broken()),
                  lambda: certify_haken(_KNOT, broken()), lambda: AllowablePath(broken()),
                  lambda: make_diagram(3, 3, broken_rows()),
-                 lambda: make_diagram(3, 3, [[3, 3], broken(), [3, 3]])):
+                 lambda: make_diagram(3, 3, [[3, 3], broken(), [3, 3]]),
+                 lambda: PDCode(broken_crossings()), lambda: PDCode([(1, 2, 3, 4), broken()])):
         with pytest.raises(TypeError, match="^inner$"):
             call()
 
@@ -355,6 +363,11 @@ def test_count_parameter_errors():
         count_allowable(3, 4)
     with pytest.raises(ParameterError):
         count_allowable(3, 0)
+    # a bool is no int: count_allowable(True, 3) once counted 0 paths
+    for n, m, bad in (("3", 3, "'3'"), (3.0, 3, "3.0"), (True, 3, "True"), (3, None, "None")):
+        with pytest.raises(ParameterError) as info:
+            count_allowable(n, m)
+        assert str(info.value) == f"n and m must be ints, got {bad}"
 
 
 def test_count_grows_and_stays_exact():

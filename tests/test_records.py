@@ -190,3 +190,14 @@ def test_link_topology_is_mutable_and_compared_by_identity():
     assert t == t and t != build_topology(D) and len({t, build_topology(D)}) == 2
     t.diagram = D.reflected()
     assert t.diagram == D.reflected()
+
+
+def test_a_field_that_is_no_slot_needs_its_own_init():
+    with pytest.raises(TypeError) as info:
+        class NoSlot(Record):
+            __slots__ = ()
+            _fields = ("x",)
+    assert str(info.value) == (
+        "test_a_field_that_is_no_slot_needs_its_own_init.<locals>.NoSlot.x is no slot: "
+        "the class needs its own __init__"
+    )

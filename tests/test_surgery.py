@@ -65,6 +65,13 @@ def test_slope_parsing():
     for text, position in (("3/1,,3/1", 2), ("3/1,", 2), (" ,3/1", 1), (",", 1)):
         with pytest.raises(ParameterError, match=f"empty slope at position {position} "):
             parse_slopes(text)
+    # text that is no str is a ParameterError, not an AttributeError
+    for call, message in ((lambda: Slope.parse(3), "slope text must be a str, got 3"),
+                          (lambda: parse_slopes(3), "slope list must be a str, got 3"),
+                          (lambda: parse_slopes(None), "slope list must be a str, got None")):
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_totally_nontrivial():
