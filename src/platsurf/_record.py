@@ -16,14 +16,11 @@ set_field = object.__setattr__  # passes Record.__setattr__; for __init__ only
 
 
 def _slot_setter(cls: type, name: str):
-    """The ``__set__`` of the slot that holds field ``name`` on cls, found
-    through the MRO so inherited slots count; TypeError when it is not a slot."""
-    for klass in cls.__mro__:
-        if name in klass.__dict__:
-            member = klass.__dict__[name]
-            if isinstance(member, MemberDescriptorType):
-                return member.__set__
-            break
+    """The ``__set__`` of the slot that holds field ``name`` on cls, its own
+    or an inherited one; TypeError when it is not a slot."""
+    member = getattr(cls, name, None)  # on a class, a slot reads as its member descriptor
+    if isinstance(member, MemberDescriptorType):
+        return member.__set__
     raise TypeError(f"{cls.__qualname__}.{name} is no slot: the class needs its own __init__")
 
 

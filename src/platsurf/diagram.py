@@ -333,8 +333,10 @@ def _box_json(box: TangleBox) -> Any:
 
 
 def check_hypotheses(d: PlatDiagram, mode: str = STRICT) -> HypothesisReport:
-    """Check conditions (i)-(iii); relaxed mode lowers the end bound to 2."""
-    if mode not in END_BOUND:
+    """Check conditions (i)-(iii); relaxed mode lowers the end bound to 2.
+
+    A mode other than the str ``"strict"`` or ``"relaxed"`` is a ParameterError."""
+    if not isinstance(mode, str) or mode not in END_BOUND:
         raise ParameterError(f"unknown hypothesis mode {mode!r}")
     floor = 3 * END_BOUND[mode]  # the least slope code of an odd-row end box
 
@@ -448,6 +450,11 @@ def diagram_to_json(d: PlatDiagram) -> str:
 
 
 def diagram_from_json(text: str) -> PlatDiagram:
+    """The diagram of a JSON text; MalformedDiagramError when the text is no
+    str, bytes or bytearray, is not JSON or is no diagram."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise MalformedDiagramError(
+            f"diagram text must be str, bytes or bytearray, got {type(text).__name__}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:

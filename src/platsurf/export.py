@@ -167,25 +167,17 @@ def pd_trace_components(code: PDCode) -> int:
 
 
 def pd_validate(code: PDCode) -> None:
-    """Raise if any arc label fails to appear exactly twice.
+    """Raise unless the labels are 1..2C, each appearing exactly twice.
 
-    ``PDCode`` has checked that every label is an int.  One bytearray pass
-    counts them and decides the verdict; the counts for the message are
-    gathered only when the code is malformed.
+    ``PDCode`` has checked that every label is an int, so 2C distinct labels
+    from 1 to 2C are exactly 1..2C.  One count gives both the verdict and
+    the message; a code with no crossings passes.
     """
     labels = 2 * len(code.crossings)
-    counts = bytearray(labels + 1)  # by label
-    try:
-        for label in chain.from_iterable(code.crossings):
-            counts[label] += 1
-    except (IndexError, ValueError):
-        pass  # past 2C, or seen 256 times
-    else:
-        # a label below 1 counts for 0 or, from the top, for another label
-        if counts.count(2) == labels and min(map(min, code.crossings), default=1) > 0:
-            return
-    seen = sorted(Counter(chain.from_iterable(code.crossings)).items())
-    raise MalformedPDCodeError(f"malformed PD code: label counts {seen}")
+    counts = Counter(chain.from_iterable(code.crossings))
+    if (len(counts) != labels or set(counts.values()) - {2}
+            or min(counts, default=1) != 1 or max(counts, default=0) != labels):
+        raise MalformedPDCodeError(f"malformed PD code: label counts {sorted(counts.items())}")
 
 
 def to_pd_code(d: PlatDiagram) -> PDCode:

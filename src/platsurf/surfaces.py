@@ -42,8 +42,8 @@ from operator import getitem
 from typing import Sequence
 
 from ._record import Record
-from .diagram import PlatDiagram
-from .errors import PathError
+from .diagram import PlatDiagram, _check_ints
+from .errors import ParameterError, PathError
 from .paths import AllowablePath, allowable_entries
 from .topology import build_topology, sphere_partition
 
@@ -191,8 +191,13 @@ def assembled_surface_cells(punctures: int, tubes: int) -> dict:
     each tube is a fresh annulus (V=2, E=3, F=1) glued along both its
     boundary circles, each gluing identifying one vertex and one edge.
     With ``tubes = 0`` this is the planar surface; with
-    ``2 * tubes = punctures`` the closed tubed surface.
+    ``2 * tubes = punctures`` the closed tubed surface.  Counts that are
+    not ints, or negative, are a ParameterError; tubes that do not cap the
+    punctures in pairs are a PathError.
     """
+    _check_ints(ParameterError, "punctures and tubes", punctures, tubes)
+    if punctures < 0 or tubes < 0:
+        raise ParameterError(f"punctures and tubes must not be negative, got {punctures}, {tubes}")
     if tubes and 2 * tubes != punctures:
         raise PathError("tubes must cap the punctures in pairs")
     v, e, f = 2, 2, 2  # a CW sphere: two poles, two meridian edges

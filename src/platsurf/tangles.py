@@ -33,7 +33,15 @@ from typing import Iterable
 
 from ._record import Record, set_field
 from .diagram import _check_ints, _slope_code
-from .errors import ParameterError
+from .errors import ParameterError, _as_tuple
+
+
+def _continued_fraction_terms(terms: Iterable[int]) -> tuple[int, ...]:
+    ts = _as_tuple(terms, ParameterError, "continued fraction terms are not a sequence of ints")
+    if not ts:
+        raise ParameterError("empty continued fraction")
+    _check_ints(ParameterError, "continued fraction terms", *ts)
+    return ts
 
 
 class TangleFraction(Record):
@@ -86,9 +94,9 @@ class TangleFraction(Record):
 
     @classmethod
     def from_continued_fraction(cls, terms: Iterable[int]) -> "TangleFraction":
-        ts = list(terms)
-        if not ts:
-            raise ParameterError("empty continued fraction")
+        """The fraction of an innermost-first term list; ParameterError when
+        the terms are empty or not a sequence of ints."""
+        ts = _continued_fraction_terms(terms)
         num, den = ts[0], 1
         for t in ts[1:]:
             num, den = t * num + den, num
@@ -169,11 +177,10 @@ def pairing_by_tracing(terms: Iterable[int]) -> Pairing:
     ``from_continued_fraction``.  A horizontal half twist exchanges the
     two east endpoints, a vertical one the two south endpoints; the twist
     sign never changes which points are exchanged, so only |t| matters
-    here.
+    here.  Terms that are empty or not a sequence of ints are a
+    ParameterError.
     """
-    ts = list(terms)
-    if not ts:
-        raise ParameterError("empty continued fraction")
+    ts = _continued_fraction_terms(terms)
     if len(ts) % 2 == 1:
         state, moves = _ZERO, ("H", "V")
     else:

@@ -469,6 +469,15 @@ def sweep_pd_code(d: PlatDiagram) -> PDCode:
     return code
 
 
+def pd_text_or_refusal(export, d):
+    """``export(d).text()``, or the type and message of its refusal, so two
+    PD exports compare on refused diagrams too."""
+    try:
+        return export(d).text()
+    except UnsupportedBoxError as exc:
+        return type(exc), str(exc)
+
+
 # ---------------------------------------------------------------------------
 # the Kauffman bracket two ways: a state sum over the smoothings of a PD
 # code, and a Temperley-Lieb sweep down the plat.  Neither reads the

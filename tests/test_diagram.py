@@ -144,6 +144,9 @@ def test_bad_mode():
     d = make_diagram(3, 1, [[3, 3]])
     with pytest.raises(ParameterError):
         check_hypotheses(d, "loose")
+    for mode in ([], {}):  # unhashable: refused before the lookup
+        with pytest.raises(ParameterError, match=f"^{re.escape(f'unknown hypothesis mode {mode!r}')}$"):
+            check_hypotheses(d, mode)
 
 
 def test_random_diagrams_strictly_valid():
@@ -243,6 +246,9 @@ def test_json_rejects_unknowns_and_junk():
         from_json_dict({"n": 3, "m": 1, "rows": [[3, [1, 2, 3]]]})
     with pytest.raises(MalformedDiagramError):
         diagram_from_json("{not json")
+    with pytest.raises(MalformedDiagramError,
+                       match="^diagram text must be str, bytes or bytearray, got int$"):
+        diagram_from_json(3)
 
 
 def test_direct_construction_validates():

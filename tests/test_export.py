@@ -26,6 +26,7 @@ from helpers import (
     bracket_from_plat,
     laurent_mul,
     mirror,
+    pd_text_or_refusal,
     per_crossing_pd_code,
     plat_cycle_count,
     random_all_twist,
@@ -168,12 +169,15 @@ def test_pd_validate_rejects_bad_codes():
     with pytest.raises(ValueError, match="malformed"):
         pd_validate(PDCode(((1, 1, 1, 2), (2, 3, 3, 4))))
     pd_validate(PDCode(((1, 1, 2, 2),)))
+    pd_validate(PDCode(()))  # no crossings, no labels
     bad = {
         "label 0": ((0, 2, 1, 1), (3, 4, 3, 4)),
         "label 0 twice": ((0, 0, 1, 1),),  # every other count right but one
         "negative label": ((1, 1, 2, -1),),  # -1 would count for label 2
         "far negative label": ((1, 1, 2, -10**6),),
         "label above 2C": ((1, 1, 2, 3),),
+        "label 0 in place of 1": ((0, 0, 2, 2),),  # 2C labels, each twice
+        "label 3 in place of 2": ((1, 1, 3, 3),),
         "label seen three times": ((1, 2, 1, 2), (1, 3, 4, 4)),
         "label missing": ((1, 1, 2, 2), (3, 3, 2, 1)),
         "label seen 256 times": ((1, 1, 1, 1),) * 64,
@@ -255,13 +259,6 @@ def test_pd_well_formed_on_random_diagrams():
         assert pd_trace_components(code) == build_topology(d).component_count
 
 
-def _pd_text_or_refusal(export, d):
-    try:
-        return export(d).text()
-    except UnsupportedBoxError as exc:
-        return type(exc), str(exc)
-
-
 def test_pd_code_matches_sweep_oracle():
     # byte for byte against the sweep, on all-twist diagrams with zero
     # boxes, negative twists and crossing-free components, and on mixed
@@ -274,8 +271,8 @@ def test_pd_code_matches_sweep_oracle():
             d = random_mixed(rng, n, m)
         else:
             d = random_all_twist(rng, n, m, spread=rng.choice((1, 2, 5)))
-        mine = _pd_text_or_refusal(to_pd_code, d)
-        assert mine == _pd_text_or_refusal(sweep_pd_code, d), d
+        mine = pd_text_or_refusal(to_pd_code, d)
+        assert mine == pd_text_or_refusal(sweep_pd_code, d), d
         if isinstance(mine, tuple):
             refused += 1
         elif pd_trace_components(to_pd_code(d)) < build_topology(d).component_count:
@@ -301,8 +298,8 @@ def test_pd_code_matches_the_per_crossing_walk():
     refused = 0
     for _ in range(400):
         d = random_all_twist(rng, rng.randint(1, 9), rng.choice(range(1, 14, 2)), spread=7)
-        mine = _pd_text_or_refusal(to_pd_code, d)
-        assert mine == _pd_text_or_refusal(per_crossing_pd_code, d), d
+        mine = pd_text_or_refusal(to_pd_code, d)
+        assert mine == pd_text_or_refusal(per_crossing_pd_code, d), d
         if isinstance(mine, tuple):
             refused += 1
         else:

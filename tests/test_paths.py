@@ -320,11 +320,24 @@ def test_a_type_error_inside_an_iterable_is_not_an_input_error():
         yield (1, 2, 3, 4)
         raise TypeError("inner")
 
+    class BrokenRow:  # a row with a length whose iterator fails after one box
+        def __init__(self, row):
+            self.row = row
+
+        def __len__(self):
+            return len(self.row)
+
+        def __iter__(self):
+            yield self.row[0]
+            raise TypeError("inner")
+
+    r1, r2, r3 = _KNOT.rows
     for call in (lambda: decompose(_KNOT, broken()), lambda: check_allowable(_KNOT, broken()),
                  lambda: certify_haken(_KNOT, broken()), lambda: AllowablePath(broken()),
                  lambda: make_diagram(3, 3, broken_rows()),
                  lambda: make_diagram(3, 3, [[3, 3], broken(), [3, 3]]),
-                 lambda: PDCode(broken_crossings()), lambda: PDCode([(1, 2, 3, 4), broken()])):
+                 lambda: PDCode(broken_crossings()), lambda: PDCode([(1, 2, 3, 4), broken()]),
+                 lambda: PlatDiagram(3, 3, (r1, BrokenRow(r2), r3))):
         with pytest.raises(TypeError, match="^inner$"):
             call()
 

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from platsurf import (  # noqa: E402
     PlatDiagram,
     Slope,
-    UnsupportedBoxError,
     build_topology,
     certify,
     certify_haken,
@@ -44,6 +43,7 @@ from helpers import (  # noqa: E402
     bracket_from_plat,
     crossing_free_components,
     delta_power,
+    pd_text_or_refusal,
     row_len,
     sweep_pd_code,
     union_find_components,
@@ -90,17 +90,10 @@ def mixed_diagrams(draw):
     return make_diagram(n, m, rows)
 
 
-def _pd_text_or_refusal(export, d):
-    try:
-        return export(d).text()
-    except UnsupportedBoxError as exc:
-        return type(exc), str(exc)
-
-
 @SMALL
 @given(twist_diagrams())
 def test_pd_code_equals_the_sweep(d):
-    assert _pd_text_or_refusal(to_pd_code, d) == _pd_text_or_refusal(sweep_pd_code, d)
+    assert pd_text_or_refusal(to_pd_code, d) == pd_text_or_refusal(sweep_pd_code, d)
 
 
 @SMALL

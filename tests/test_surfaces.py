@@ -10,6 +10,7 @@ from platsurf import (
     PLANAR,
     TUBED_LEFT,
     TUBED_RIGHT,
+    ParameterError,
     PathError,
     SurfaceReport,
     assembled_surface_cells,
@@ -173,6 +174,13 @@ def test_cell_assembly_counts_are_explicit():
 def test_cell_assembly_rejects_partial_tubing():
     with pytest.raises(PathError):
         assembled_surface_cells(4, 1)
+    for args, message in ((("3", 0), "punctures and tubes must be ints, got '3'"),
+                          ((4, 2.0), "punctures and tubes must be ints, got 2.0"),
+                          ((-1, 0), "punctures and tubes must not be negative, got -1, 0"),
+                          ((4, -2), "punctures and tubes must not be negative, got 4, -2")):
+        with pytest.raises(ParameterError) as info:
+            assembled_surface_cells(*args)
+        assert str(info.value) == message
 
 
 def test_decompose_random_consistency():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -47,6 +48,14 @@ def test_invalid_fractions():
         TangleFraction.from_continued_fraction([])
     with pytest.raises(ParameterError, match="^empty continued fraction$"):
         pairing_by_tracing([])
+    # terms are a sequence of ints, a bool not one; no term is read as another value
+    for terms, message in ((3, "continued fraction terms are not a sequence of ints: got int"),
+                           ([1.5], "continued fraction terms must be ints, got 1.5"),
+                           ([True], "continued fraction terms must be ints, got True"),
+                           ([1.5, 2], "continued fraction terms must be ints, got 1.5")):
+        for build in (TangleFraction.from_continued_fraction, pairing_by_tracing):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                build(terms)
     # p and q are ints, a bool not one, as in a Rational box
     for p, q in ((1.5, 1), (1, "2"), (None, 1), (True, 1), (1, 2.0)):
         for build in (TangleFraction, TangleFraction.of):
