@@ -35,7 +35,6 @@ the checker.
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 from ._record import Record
@@ -44,6 +43,7 @@ from .diagram import (
     RELAXED,
     STRICT,
     PlatDiagram,
+    _indented_json,
     check_hypotheses,
 )
 from .errors import ParameterError
@@ -232,7 +232,7 @@ class Certificate(Record):
 
 
 def certificate_json(cert: Certificate) -> str:
-    return json.dumps(cert.to_dict(), indent=2) + "\n"
+    return _indented_json(cert.to_dict()) + "\n"
 
 
 def _euler_footnote(dec: SphereDecomposition) -> str:

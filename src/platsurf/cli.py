@@ -22,7 +22,6 @@ export modules.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import sys
@@ -98,10 +97,10 @@ def _count_text(n: int, m: int) -> str:
 
 
 def cmd_validate(args: argparse.Namespace, d: PlatDiagram) -> Result:
-    from .diagram import RELAXED, STRICT, check_hypotheses
+    from .diagram import RELAXED, STRICT, _indented_json, check_hypotheses
 
     report = check_hypotheses(d, RELAXED if args.relaxed else STRICT)
-    return json.dumps(report.to_dict(), indent=2) + "\n", 0 if report.passed else 1
+    return _indented_json(report.to_dict()) + "\n", 0 if report.passed else 1
 
 
 def cmd_paths(args: argparse.Namespace, d: PlatDiagram) -> Result:

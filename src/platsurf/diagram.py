@@ -31,7 +31,8 @@ A box computes its byte once, when built, from its slope p/q (1/a for
 a twist box), and with it its canonical JSON text (``3``, ``[1,2]``);
 ``PlatDiagram`` gathers the bytes into ``slope_table``, one ``bytes``
 per row, and sets ``is_all_twist`` as it checks the box types.
-``check_hypotheses`` scans each row once, for inner codes 0-2 (level 0).
+``check_hypotheses`` scans each row once, for inner codes 0-2 (level 0),
+and keeps its report on the diagram in ``_hypotheses``, one per mode.
 ``tangles`` loads only where slopes are wanted as fractions, in
 ``box_fraction`` and ``surgery``.  A diagram keeps its digest, which
 joins its box texts a row at a time, and ``topology.build_topology``
@@ -62,9 +63,11 @@ RELAXED = "relaxed"
 # per hypothesis mode, the least denominator condition (iii) asks of an odd-row end box
 END_BOUND = {STRICT: 3, RELAXED: 2}
 MAX_BOXES = 10**6
+MAX_PD_CROSSINGS = 10**6  # PD crossings, and half twists tangles.pairing_by_tracing traces
 _LEVEL_0 = re.compile(b"[\0-\2]")  # the slope codes of level 0: boxes of denominator 0
 _NOT_ROWS = "rows are not a sequence of rows"
 _NOT_A_ROW = "row %d is not a sequence of boxes"
+_quote = json.encoder.encode_basestring_ascii  # the str encoder of json.dumps
 
 # pairing codes of the slope table, in the order tangles.Pairing lists them
 IDENTITY, SWAP, CAPS = range(3)
@@ -224,11 +227,11 @@ class PlatDiagram(Record):
             for j, box in enumerate(row, 1):
                 yield i, j, box
 
-    # The fields are frozen, so values derived from them live in the instance
-    # __dict__: the slope table and all-twist flag from __init__; from first
-    # use, the digest, build_topology's component labels (_components), and
-    # the span ranges (_spans) and surface reports (_reports) that surfaces
-    # shares between the paths of one diagram.  Equality, hashing, repr and
+    # The fields are frozen, so values derived from them live in the instance __dict__:
+    # the slope table and all-twist flag from __init__; from first use, the digest, the
+    # hypothesis reports by mode (_hypotheses), build_topology's component labels
+    # (_components), and the span ranges (_spans) and surface reports (_reports) that
+    # surfaces shares between the paths of one diagram.  Equality, hashing, repr and
     # pickling read the fields alone.
 
     @functools.cached_property
@@ -334,10 +337,18 @@ def _box_json(box: TangleBox) -> Any:
 
 def check_hypotheses(d: PlatDiagram, mode: str = STRICT) -> HypothesisReport:
     """Check conditions (i)-(iii); relaxed mode lowers the end bound to 2.
+    The report is kept on d, one per mode, so each mode scans d once.
 
     A mode other than the str ``"strict"`` or ``"relaxed"`` is a ParameterError."""
     if not isinstance(mode, str) or mode not in END_BOUND:
         raise ParameterError(f"unknown hypothesis mode {mode!r}")
+    kept = d.__dict__.setdefault("_hypotheses", {})
+    if mode not in kept:
+        kept[mode] = _scan_hypotheses(d, mode)
+    return kept[mode]
+
+
+def _scan_hypotheses(d: PlatDiagram, mode: str) -> HypothesisReport:
     floor = 3 * END_BOUND[mode]  # the least slope code of an odd-row end box
 
     interior_zero, small_ends = [], []
@@ -447,6 +458,28 @@ def from_json_dict(obj: Any) -> PlatDiagram:
 
 def diagram_to_json(d: PlatDiagram) -> str:
     return json.dumps(to_json_dict(d), indent=2) + "\n"
+
+
+def _indented_json(obj: Any, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for str-keyed dicts, lists, tuples,
+    str, int (int subclasses too, by ``int.__repr__`` as json), bool and None; any other
+    type, a float too, is a TypeError.  Under ``indent`` 3.10-3.12 run json's pure-Python
+    encoder, about twice as slow on a certificate; 3.13's C encoder is about 8 us a
+    certificate faster, and ``diagram_to_json`` keeps it."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):  # _quote refuses a key that is no str
+        body, ends = [f"{_quote(k)}: {_indented_json(v, inner)}" for k, v in obj.items()], "{}"
+    elif isinstance(obj, (list, tuple)):
+        body, ends = [_indented_json(v, inner) for v in obj], "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return f"{ends[0]}{inner}{(',' + inner).join(body)}{indent}{ends[1]}" if body else ends
 
 
 def diagram_from_json(text: str) -> PlatDiagram:

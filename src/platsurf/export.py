@@ -56,11 +56,9 @@ from itertools import accumulate, chain, repeat
 from typing import Iterable
 
 from ._record import Record, set_field
-from .diagram import PlatDiagram, Twist, box_strands
+from .diagram import MAX_PD_CROSSINGS, PlatDiagram, Twist, box_strands
 from .errors import MalformedPDCodeError, ParameterError, UnsupportedBoxError, _as_tuple
 from .topology import _cycles, swap_permutation
-
-MAX_PD_CROSSINGS = 10**6
 
 # ---------------------------------------------------------------------------
 # braid words

@@ -42,7 +42,7 @@ from operator import getitem
 from typing import Sequence
 
 from ._record import Record
-from .diagram import PlatDiagram, _check_ints
+from .diagram import MAX_BOXES, PlatDiagram, _check_ints
 from .errors import ParameterError, PathError
 from .paths import AllowablePath, allowable_entries
 from .topology import build_topology, sphere_partition
@@ -192,12 +192,15 @@ def assembled_surface_cells(punctures: int, tubes: int) -> dict:
     boundary circles, each gluing identifying one vertex and one edge.
     With ``tubes = 0`` this is the planar surface; with
     ``2 * tubes = punctures`` the closed tubed surface.  Counts that are
-    not ints, or negative, are a ParameterError; tubes that do not cap the
-    punctures in pairs are a PathError.
+    not ints, or negative, or whose sum passes ``MAX_BOXES + 1``, are a
+    ParameterError; tubes that do not cap the punctures in pairs are a
+    PathError.
     """
     _check_ints(ParameterError, "punctures and tubes", punctures, tubes)
     if punctures < 0 or tubes < 0:
         raise ParameterError(f"punctures and tubes must not be negative, got {punctures}, {tubes}")
+    if punctures + tubes > MAX_BOXES + 1:  # unprinted: it may pass the int-to-text limit
+        raise ParameterError(f"cell assembly takes at most {MAX_BOXES + 1} punctures and tubes")
     if tubes and 2 * tubes != punctures:
         raise PathError("tubes must cap the punctures in pairs")
     v, e, f = 2, 2, 2  # a CW sphere: two poles, two meridian edges

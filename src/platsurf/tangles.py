@@ -32,7 +32,7 @@ import math
 from typing import Iterable
 
 from ._record import Record, set_field
-from .diagram import _check_ints, _slope_code
+from .diagram import MAX_PD_CROSSINGS, _check_ints, _slope_code
 from .errors import ParameterError, _as_tuple
 
 
@@ -177,10 +177,12 @@ def pairing_by_tracing(terms: Iterable[int]) -> Pairing:
     ``from_continued_fraction``.  A horizontal half twist exchanges the
     two east endpoints, a vertical one the two south endpoints; the twist
     sign never changes which points are exchanged, so only |t| matters
-    here.  Terms that are empty or not a sequence of ints are a
-    ParameterError.
+    here.  Terms that are empty or not a sequence of ints, or whose |t|
+    total more than ``MAX_PD_CROSSINGS``, are a ParameterError.
     """
     ts = _continued_fraction_terms(terms)
+    if sum(map(abs, ts)) > MAX_PD_CROSSINGS:  # unprinted: it may pass the int-to-text limit
+        raise ParameterError(f"tracing takes at most {MAX_PD_CROSSINGS} half twists in all")
     if len(ts) % 2 == 1:
         state, moves = _ZERO, ("H", "V")
     else:

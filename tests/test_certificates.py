@@ -12,11 +12,16 @@ from platsurf import (
     MODE_THEOREM1,
     ParameterError,
     PathError,
+    Slope,
     Twist,
+    build_topology,
     certificate_json,
     certify,
     certify_haken,
+    check_hypotheses,
     diagram_digest,
+    diagram_from_json,
+    diagram_to_json,
     extremal_paths,
     make_diagram,
     parse_slopes,
@@ -229,3 +234,25 @@ def test_certifying_never_mutates_the_diagram():
     certify(d, mode=MODE_RELAXED)
     assert d.rows == before
     assert d.rows[0][0] == Twist(3)
+
+
+def test_hypotheses_are_scanned_once_per_diagram_and_mode(monkeypatch):
+    scans = []
+    scan = diagram._scan_hypotheses
+
+    def counted(d, mode):
+        scans.append(mode)
+        return scan(d, mode)
+
+    monkeypatch.setattr(diagram, "_scan_hypotheses", counted)
+    d = diagram_from_json(diagram_to_json(random_diagram(4, 5, seed=2, require_parity=True)))
+    slopes = (Slope(3, 1),) * build_topology(d).component_count
+    report = check_hypotheses(d)
+    cert, haken = certify(d), certify_haken(d, slopes)
+    assert scans == [diagram.STRICT]
+    assert cert.certified and haken.certified
+    assert cert.hypotheses is haken.hypotheses is report
+    relaxed = certify(d, mode=MODE_RELAXED)
+    certify(d, mode=MODE_COMPOSITE), certify_haken(d, slopes)
+    assert scans == [diagram.STRICT, diagram.RELAXED]
+    assert relaxed.hypotheses is check_hypotheses(d, diagram.RELAXED)

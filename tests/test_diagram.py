@@ -7,6 +7,7 @@ import math
 import pickle
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from platsurf.diagram import (
     MAX_BOXES,
     RELAXED,
     STRICT,
+    _indented_json,
     canonical_diagram_bytes,
     from_json_dict,
     row_length,
@@ -147,6 +149,29 @@ def test_bad_mode():
     for mode in ([], {}):  # unhashable: refused before the lookup
         with pytest.raises(ParameterError, match=f"^{re.escape(f'unknown hypothesis mode {mode!r}')}$"):
             check_hypotheses(d, mode)
+    assert "_hypotheses" not in d.__dict__  # a refused mode keeps nothing
+
+
+def test_hypothesis_reports_are_kept_per_mode():
+    d = make_diagram(3, 3, [[2, 3], [3, 3, 3], [3, 3]])
+    strict, relaxed = check_hypotheses(d), check_hypotheses(d, RELAXED)
+    assert check_hypotheses(d, STRICT) is strict and check_hypotheses(d, RELAXED) is relaxed
+    assert (strict.mode, strict.passed) == (STRICT, False)
+    assert (relaxed.mode, relaxed.passed) == (RELAXED, True)
+    assert d.__dict__["_hypotheses"] == {STRICT: strict, RELAXED: relaxed}
+
+
+def test_kept_hypotheses_stay_out_of_the_diagram_value():
+    d = make_diagram(3, 3, [[2, 3], [3, 3, 3], [3, 3]])
+    fresh = make_diagram(3, 3, [[2, 3], [3, 3, 3], [3, 3]])
+    text, value = repr(d), hash(d)
+    check_hypotheses(d), check_hypotheses(d, RELAXED)
+    assert "_hypotheses" in d.__dict__
+    assert repr(d) == text == repr(fresh) and hash(d) == value == hash(fresh)
+    assert d == fresh and fresh == d
+    for copied in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert copied == d and "_hypotheses" not in copied.__dict__
+    assert pickle.dumps(d) == pickle.dumps(fresh)
 
 
 def test_random_diagrams_strictly_valid():
@@ -447,3 +472,35 @@ def test_box_count_is_limited_before_any_row_is_built():
         from_json_dict({"n": 10**6, "m": 10**6 + 1, "rows": []})
     with pytest.raises(ParameterError, match="limited to"):
         random_diagram(1000, 2001)
+
+
+class _Loud(int):
+    def __repr__(self) -> str:
+        return "loud"
+
+    __str__ = __repr__
+
+
+def test_indented_json_writes_what_json_dumps_writes():
+    texts = ("", "quote \" backslash \\ slash / tab \t newline \n nul \x00 bell \x07 del \x7f",
+             "\u00e9 \u221e \U0001d11e lone \ud800")
+    docs = [[], {}, (), [[]], [{}], {"a": []}, {"a": {}, "b": [[], [{}], ()]}, [[[[]]]],
+            *texts, [*texts], {t: t for t in texts},
+            [True, 1, False, 0, None], {"t": True, "one": 1}, True, 1, None,
+            -1, -(10**40), 0, 10**40, [-3, [-7, 2]], ((1, 2), [3, (4,)]),
+            # int subclasses are written by int.__repr__, as json writes them
+            _Half.THREE, [_Half.MINUS_FIVE, {"a": _Half.THREE}], _Loud(7), [_Loud(-7)]]
+    for doc in docs:
+        assert _indented_json(doc) == json.dumps(doc, indent=2), doc
+    assert _indented_json([True, 1]) == "[\n  true,\n  1\n]"
+    # a float, a set, a non-str key or any other object is no document
+    for doc in (1.5, [0.0], {1, 2}, {1: 2}, {"a": frozenset()}, b"x", [object()], range(2)):
+        with pytest.raises(TypeError):
+            _indented_json(doc)
+    if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits():
+        for doc in (10 ** sys.get_int_max_str_digits(), {"a": [-(10 ** 5000)]}):
+            with pytest.raises(ValueError) as want:
+                json.dumps(doc, indent=2)
+            with pytest.raises(ValueError) as got:
+                _indented_json(doc)
+            assert str(got.value) == str(want.value)

@@ -11,6 +11,11 @@ their exact stderr (``FILE`` again standing for the file's path).  An
 output that is undefined for a case (a braid word of a rational
 diagram, say) has no file.  The test recomputes each recorded file and
 compares bytes.
+
+``large-shapes.json`` pins, for three seeded ``random_diagram`` shapes far
+past the corpus, the exit code and stdout sha256 of ``validate``,
+``certify``, ``surgery`` and ``export --format json``; each diagram is
+rebuilt from its seed, so nothing large is checked in.
 """
 
 import hashlib
@@ -26,19 +31,23 @@ from platsurf import (
     certificate_json,
     certify,
     certify_haken,
+    check_hypotheses,
     diagram_to_json,
     haken_certificate_json,
     parse_slopes,
+    random_diagram,
     render,
     to_braid_word,
     to_pd_code,
 )
+from platsurf.certificates import MODES
 from platsurf.cli import main
-from platsurf.diagram import from_json_dict
+from platsurf.diagram import RELAXED, STRICT, _indented_json, from_json_dict
 from platsurf.topology import component_cycles
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
+LARGE = json.loads((GOLDEN / "large-shapes.json").read_text())
 
 
 def _text(s: str) -> bytes:
@@ -98,3 +107,29 @@ def test_golden_outputs(name, tmp_path, capsysbinary):
             "stdout_sha256": hashlib.sha256(out).hexdigest(),
             "stderr": err.decode().replace(str(diagram_file), "FILE"),
         } == outputs[command], f"{name}: platsurf {command}"
+
+
+def test_documents_are_written_as_json_dumps_writes_them():
+    for name in CASES:
+        d, case = _load(name)
+        docs = [check_hypotheses(d, mode).to_dict() for mode in (STRICT, RELAXED)]
+        docs += [certify(d, None, mode).to_dict() for mode in MODES]
+        if case["path"] is not None:
+            docs.append(certify(d, case["path"]).to_dict())
+        if (GOLDEN / name / "haken.json").exists():
+            docs.append(certify_haken(d, parse_slopes(case["slopes"])).to_dict())
+        for doc in docs:
+            assert _indented_json(doc) == json.dumps(doc, indent=2), name
+
+
+@pytest.mark.parametrize("case", LARGE, ids=lambda case: f"{case['n']}x{case['m']}")
+def test_large_shapes_keep_their_bytes(case, tmp_path, capsysbinary):
+    d = random_diagram(case["n"], case["m"], seed=case["seed"])
+    diagram_file = tmp_path / "d.json"
+    diagram_file.write_text(diagram_to_json(d))
+    for command, want in case["cli"].items():
+        argv = [str(diagram_file) if a == "FILE" else a for a in command.split()]
+        code = main(argv)
+        out, err = capsysbinary.readouterr()
+        got = {"exit": code, "stdout_sha256": hashlib.sha256(out).hexdigest()}
+        assert (got, err) == (want, b""), f"{case['n']}x{case['m']}: platsurf {command}"

@@ -37,6 +37,7 @@ from platsurf.certificates import (  # noqa: E402
     MODES,
 )
 from platsurf.cli import main  # noqa: E402
+from platsurf.diagram import RELAXED, STRICT, _indented_json  # noqa: E402
 from platsurf.topology import _end_links  # noqa: E402
 from helpers import (  # noqa: E402
     bracket_from_pd,
@@ -190,6 +191,38 @@ def test_the_modes_agree_through_one_builder(d):
     assert haken.hypotheses == theorem1.hypotheses
     if d.m >= 3:
         assert haken.refusals[: len(theorem1.refusals)] == theorem1.refusals
+
+
+# slopes of every kind: the meridian 1/0, integral and nonintegral ones
+SLOPES = (Slope(1, 0), Slope(3, 1), Slope(-1, 1), Slope(0, 1), Slope(5, 2))
+
+
+@st.composite
+def diagrams_with_slopes(draw):
+    d = draw(st.one_of(twist_diagrams(), twist_diagrams(strict=True), mixed_diagrams()))
+    k = build_topology(d).component_count
+    return d, draw(st.lists(st.sampled_from(SLOPES), min_size=k, max_size=k))
+
+
+def _meridians(*shape):
+    d = make_diagram(*shape)
+    return d, [Slope(1, 0)] * build_topology(d).component_count
+
+
+@SMALL
+@given(diagrams_with_slopes())
+@example(_meridians(2, 3, [[3], [1, 1], [3]]))  # 2-bridge
+@example(_meridians(3, 1, [[3, -3]]))  # m = 1
+@example(_meridians(3, 3, [[3, 3], [3, 0, 3], [3, 3]]))  # an interior zero
+@example(_meridians(3, 3, [[2, 3], [3, 3, 3], [-1, [1, 2]]]))  # small ends
+@example(_meridians(3, 3, [[4, 3], [3, 3, 3], [4, 3]]))  # an uncovered component
+def test_documents_are_written_as_json_dumps_writes_them(case):
+    d, slopes = case
+    docs = [check_hypotheses(d, mode).to_dict() for mode in (STRICT, RELAXED)]
+    docs += [certify(d, mode=mode).to_dict() for mode in MODES]
+    docs.append(certify_haken(d, slopes).to_dict())
+    for doc in docs:
+        assert _indented_json(doc) == json.dumps(doc, indent=2)
 
 
 # values a hostile diagram document may hold where a box, n or m belongs

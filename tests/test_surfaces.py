@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,8 @@ from platsurf import (
     make_diagram,
     surface_invariants,
 )
-from platsurf.diagram import box_strands
+from platsurf import surfaces
+from platsurf.diagram import MAX_BOXES, box_strands
 from helpers import pos_of, random_all_twist, random_shape, trace_sides
 
 
@@ -181,6 +183,21 @@ def test_cell_assembly_rejects_partial_tubing():
         with pytest.raises(ParameterError) as info:
             assembled_surface_cells(*args)
         assert str(info.value) == message
+
+
+def test_cell_assembly_is_limited_before_any_cell_is_counted(monkeypatch):
+    start = time.perf_counter()
+    message = f"^cell assembly takes at most {MAX_BOXES + 1} punctures and tubes$"
+    for args in ((MAX_BOXES + 2, 0), (MAX_BOXES, 2), (10**5000, 0), (2, 10**5000)):
+        with pytest.raises(ParameterError, match=message):
+            assembled_surface_cells(*args)
+    assert time.perf_counter() - start < 0.05
+    monkeypatch.setattr(surfaces, "MAX_BOXES", 5)  # the limit is MAX_BOXES + 1 = 6
+    assert assembled_surface_cells(6, 0)["boundary"] == 6
+    assert assembled_surface_cells(4, 2)["genus"] == 2
+    for args in ((7, 0), (6, 3)):
+        with pytest.raises(ParameterError, match="at most 6 punctures"):
+            assembled_surface_cells(*args)
 
 
 def test_decompose_random_consistency():

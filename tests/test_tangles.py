@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import time
 
 import pytest
 
@@ -14,6 +15,8 @@ from platsurf import (
     pairing,
     pairing_by_tracing,
 )
+from platsurf import tangles
+from platsurf.diagram import MAX_PD_CROSSINGS
 
 
 def test_continued_fraction_values():
@@ -109,3 +112,17 @@ def test_incompressibility_levels():
     assert incompressibility_level(TangleFraction.of(7, 2)) == 2
     assert incompressibility_level(TangleFraction.of(5, 3)) == 3
     assert incompressibility_level(TangleFraction.of(1, 5)) == 3
+
+
+def test_tracing_is_limited_before_any_twist_is_traced(monkeypatch):
+    start = time.perf_counter()
+    message = f"^tracing takes at most {MAX_PD_CROSSINGS} half twists in all$"
+    for terms in ([MAX_PD_CROSSINGS + 1], [MAX_PD_CROSSINGS, -1], [-(10**5000)],
+                  [1] * 10 + [-MAX_PD_CROSSINGS]):
+        with pytest.raises(ParameterError, match=message):
+            pairing_by_tracing(terms)
+    assert time.perf_counter() - start < 0.05
+    monkeypatch.setattr(tangles, "MAX_PD_CROSSINGS", 5)
+    assert pairing_by_tracing([2, -3]) is pairing(TangleFraction.from_continued_fraction([2, -3]))
+    with pytest.raises(ParameterError, match="at most 5 half twists"):
+        pairing_by_tracing([3, -3])
