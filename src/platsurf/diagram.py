@@ -28,9 +28,13 @@ Everything the hypotheses and the link walk need of a box fits in one
 byte, ``3 * min(q, 3) + code``, where ``code`` is 0, 1 or 2 for the
 through-identity, through-swap and caps pairing (``Pairing`` order).
 A box computes its byte once, when built, from its slope p/q (1/a for
-a twist box), and with it its canonical JSON text (``3``, ``[1,2]``);
-``PlatDiagram`` gathers the bytes into ``slope_table``, one ``bytes``
-per row, and sets ``is_all_twist`` as it checks the box types.
+a twist box), and with it its canonical JSON text (``3``, ``[1,2]``), so
+a box int past the int-to-text digit limit is refused, as in a file.
+``PlatDiagram``, also named ``make_diagram``, builds a diagram in one
+pass per row: it reads the row, turns its ints into Twists (one per
+value) and its pairs into Rationals, checks its length, and gathers its
+bytes into ``slope_table``, one ``bytes`` per row, and its box types
+into ``is_all_twist``.
 ``check_hypotheses`` scans each row once, for inner codes 0-2 (level 0),
 and keeps its report on the diagram in ``_hypotheses``, one per mode.
 ``tangles`` loads only where slopes are wanted as fractions, in
@@ -53,7 +57,7 @@ import re  # json imports it already
 from typing import TYPE_CHECKING, Any, Iterator, Sequence, Union
 
 from ._record import Record, set_field
-from .errors import MalformedDiagramError, ParameterError, _as_tuple
+from .errors import MalformedDiagramError, ParameterError, _as_tuple, _shown
 
 if TYPE_CHECKING:
     from .tangles import TangleFraction
@@ -65,8 +69,6 @@ END_BOUND = {STRICT: 3, RELAXED: 2}
 MAX_BOXES = 10**6
 MAX_PD_CROSSINGS = 10**6  # PD crossings, and half twists tangles.pairing_by_tracing traces
 _LEVEL_0 = re.compile(b"[\0-\2]")  # the slope codes of level 0: boxes of denominator 0
-_NOT_ROWS = "rows are not a sequence of rows"
-_NOT_A_ROW = "row %d is not a sequence of boxes"
 _quote = json.encoder.encode_basestring_ascii  # the str encoder of json.dumps
 
 # pairing codes of the slope table, in the order tangles.Pairing lists them
@@ -79,17 +81,17 @@ def _slope_code(p: int, q: int) -> int:
     return 3 * min(abs(q), 3) + (q & 1 if p & 1 else CAPS)
 
 
-def _int_text(fmt: str, *ints: int) -> str | None:
-    try:  # None past the interpreter's int-to-text digit limit
+def _box_text(fmt: str, *ints: int) -> str:
+    try:  # a box int past the int-to-text digit limit is refused, as in a diagram file
         return fmt % ints
-    except ValueError:
-        return None
+    except ValueError as e:
+        raise MalformedDiagramError(f"box entry exceeds a limit: {e}") from None
 
 
 def _check_ints(error: type[Exception], what: str, *values: object) -> None:
     for v in values:  # a bool is no int here
         if isinstance(v, bool) or not isinstance(v, int):
-            raise error(f"{what} must be ints, got {v!r}")
+            raise error(f"{what} must be ints, got {_shown(v)!r}")
 
 
 class Twist(Record):
@@ -100,10 +102,10 @@ class Twist(Record):
 
     def __init__(self, a: int) -> None:
         if isinstance(a, bool) or not isinstance(a, int):
-            raise MalformedDiagramError(f"twist count must be an int, got {a!r}")
+            raise MalformedDiagramError(f"twist count must be an int, got {_shown(a)!r}")
         set_field(self, "a", a)
         set_field(self, "_code", _slope_code(1, a))
-        set_field(self, "_json", _int_text("%d", a))
+        set_field(self, "_json", _box_text("%d", a))
 
     def __str__(self) -> str:
         return str(self.a)
@@ -120,11 +122,11 @@ class Rational(Record):
         if (p, q) == (0, 0):
             raise MalformedDiagramError("rational box 0/0 is not a tangle")
         if math.gcd(abs(p), abs(q)) != 1:
-            raise MalformedDiagramError(f"rational box {p}/{q} is not reduced")
+            raise MalformedDiagramError(f"rational box {_shown(p)}/{_shown(q)} is not reduced")
         set_field(self, "p", p)
         set_field(self, "q", q)
         set_field(self, "_code", _slope_code(p, q))
-        set_field(self, "_json", _int_text("[%d,%d]", p, q))
+        set_field(self, "_json", _box_text("[%d,%d]", p, q))
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -158,7 +160,8 @@ def row_length(n: int, i: int) -> int:
 def _check_box_count(n: int, m: int, error: type[Exception]) -> None:
     count = (m + 1) // 2 * (n - 1) + m // 2 * n
     if count > MAX_BOXES:
-        raise error(f"n = {n}, m = {m} give {count} boxes; diagrams are limited to {MAX_BOXES}")
+        raise error(f"n = {_shown(n)}, m = {_shown(m)} give {_shown(count)} boxes; "
+                    f"diagrams are limited to {MAX_BOXES}")
 
 
 def box_strands(i: int, j: int) -> tuple[int, int]:
@@ -169,45 +172,56 @@ def box_strands(i: int, j: int) -> tuple[int, int]:
 
 
 class PlatDiagram(Record):
-    """A 2n-plat projection: n strand pairs, m rows of boxes, m odd.
-    ``rows`` is stored as ``tuple(rows)``; a row with no length is refused."""
+    """A 2n-plat projection: n strand pairs, m rows of boxes, m odd.  A box is an int,
+    a (p, q) pair, a Twist or a Rational; ``rows`` is stored as a tuple of tuples.
+    Rows, or a row, that cannot be iterated are refused by ``errors._as_tuple``'s rule."""
 
     _fields = ("n", "m", "rows")  # no __slots__: derived values live in __dict__
 
-    def __init__(self, n: int, m: int, rows: tuple[tuple[TangleBox, ...], ...]) -> None:
+    def __init__(self, n: int, m: int, rows: Sequence[Sequence[Any]]) -> None:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise MalformedDiagramError(f"n must be a positive int, got {n!r}")
+            raise MalformedDiagramError(f"n must be a positive int, got {_shown(n)!r}")
         if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-            raise MalformedDiagramError(f"m must be a positive int, got {m!r}")
+            raise MalformedDiagramError(f"m must be a positive int, got {_shown(m)!r}")
         if m % 2 == 0:
             raise MalformedDiagramError(
-                f"m = {m} is even: a plat needs an odd number of rows "
+                f"m = {_shown(m)} is even: a plat needs an odd number of rows "
                 "(an even count leaves the bottom caps misaligned)"
             )
-        rows = _as_tuple(rows, MalformedDiagramError, _NOT_ROWS)
+        _check_box_count(n, m, MalformedDiagramError)
+        rows = _as_tuple(rows, MalformedDiagramError, "rows are not a sequence of rows")
         if len(rows) != m:
             raise MalformedDiagramError(f"expected {m} rows, got {len(rows)}")
+        twists: dict[int, Twist] = {}
         kinds: set[type] = set()
-        table = []
-        try:
+        built, table = [], []
+        try:  # a row is checked for an iterator only once a TypeError stops the pass
             for i, row in enumerate(rows, 1):
+                boxes = []
+                for box in row:
+                    if type(box) is int:  # True and 1.0 equal 1 as keys: test the type first
+                        box = twists.get(box) or twists.setdefault(box, Twist(box))
+                    elif type(box) not in _BOX_TYPES:
+                        if isinstance(box, int) and not isinstance(box, bool):
+                            box = Twist(box)
+                        elif isinstance(box, (list, tuple)) and len(box) == 2:
+                            box = Rational(*box)
+                        else:
+                            raise MalformedDiagramError(f"row {i}: bad box {_shown(box)!r}")
+                    boxes.append(box)
+                row = tuple(boxes)
                 want = row_length(n, i)
                 if len(row) != want:
                     raise MalformedDiagramError(f"row {i} has {len(row)} boxes, expected {want}")
                 kinds.update(map(type, row))
-                if not _BOX_TYPES.issuperset(kinds):
-                    bad = next(b for b in row if type(b) not in _BOX_TYPES)
-                    raise MalformedDiagramError(f"row {i}: bad box {bad!r}")
+                built.append(row)
                 table.append(bytes(map(_code_of, row)))
-        except TypeError:  # a row with no length or no iterator is bad input; else re-raise
-            try:
-                len(row), iter(row)
-            except TypeError:
-                raise MalformedDiagramError(f"{_NOT_A_ROW % i}: got {type(row).__name__}") from None
+        except TypeError:
+            _as_tuple(row, MalformedDiagramError, f"row {i} is not a sequence of boxes")
             raise
         set_field(self, "n", n)
         set_field(self, "m", m)
-        set_field(self, "rows", rows)
+        set_field(self, "rows", tuple(built))
         set_field(self, "slope_table", tuple(table))
         set_field(self, "is_all_twist", Rational not in kinds)
 
@@ -251,36 +265,7 @@ class PlatDiagram(Record):
         return PlatDiagram(self.n, self.m, tuple(tuple(reversed(r)) for r in self.rows))
 
 
-def make_diagram(n: int, m: int, rows: Sequence[Sequence[Any]]) -> PlatDiagram:
-    """Build a diagram, coercing ints to shared Twists and (p, q) pairs to
-    Rational.  Rows, or a row, that cannot be iterated are a
-    MalformedDiagramError, by the rule of ``errors._as_tuple``."""
-    if isinstance(n, int) and isinstance(m, int):
-        _check_box_count(n, m, MalformedDiagramError)
-    twists: dict[int, Twist] = {}
-    built = []
-    rows = _as_tuple(rows, MalformedDiagramError, _NOT_ROWS)
-    try:  # as in PlatDiagram, a row is checked only once a TypeError stops the pass
-        for row in rows:
-            boxes = []
-            for box in row:
-                if type(box) is int:  # True and 1.0 equal 1 as keys, so test the type first
-                    twist = twists.get(box)
-                    if twist is None:
-                        twist = twists[box] = Twist(box)
-                    box = twist
-                elif isinstance(box, int) and not isinstance(box, bool):
-                    box = Twist(box)
-                elif isinstance(box, (list, tuple)) and len(box) == 2:
-                    box = Rational(box[0], box[1])
-                elif not isinstance(box, (Twist, Rational)):
-                    raise MalformedDiagramError(f"bad box value {box!r}")
-                boxes.append(box)
-            built.append(tuple(boxes))
-    except TypeError:
-        _as_tuple(row, MalformedDiagramError, _NOT_A_ROW % (len(built) + 1))
-        raise
-    return PlatDiagram(n, m, tuple(built))
+make_diagram = PlatDiagram  # both names stay public
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +412,7 @@ def random_diagram(
             i = rng.choice(odd_rows)
             rows[i - 1][-1] = sign() * rng.choice(odds)
 
-    return make_diagram(n, m, rows)
+    return PlatDiagram(n, m, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +438,7 @@ def from_json_dict(obj: Any) -> PlatDiagram:
             raise MalformedDiagramError(f"diagram JSON missing key {key!r}")
     if not isinstance(obj["rows"], list) or not all(isinstance(r, list) for r in obj["rows"]):
         raise MalformedDiagramError("rows must be a list of lists")
-    return make_diagram(obj["n"], obj["m"], obj["rows"])
+    return PlatDiagram(obj["n"], obj["m"], obj["rows"])
 
 
 def diagram_to_json(d: PlatDiagram) -> str:
@@ -500,8 +485,5 @@ def diagram_from_json(text: str) -> PlatDiagram:
 
 def canonical_diagram_bytes(d: PlatDiagram) -> bytes:
     """Compact, key-sorted JSON encoding used for digests."""
-    try:
-        rows = "],[".join([",".join(map(_json_of, row)) for row in d.rows])
-    except TypeError:  # a box past the digit limit keeps None: json.dumps raises ValueError
-        return json.dumps(to_json_dict(d), sort_keys=True, separators=(",", ":")).encode()
+    rows = "],[".join([",".join(map(_json_of, row)) for row in d.rows])
     return ('{"m":%d,"n":%d,"rows":[[%s]]}' % (d.m, d.n, rows)).encode()

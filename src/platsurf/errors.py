@@ -9,6 +9,8 @@ through result objects and exit code 1.
 ``_as_tuple`` is the one home of the rule that an argument which cannot be
 iterated at all (a path, slopes, rows, a row) is an input error of the
 caller's class; a ``TypeError`` raised as an iterable is read passes.
+``_shown`` keeps a message that names a caller's value, and with it the
+``PlatError``, past the interpreter's int-to-text digit limit.
 """
 
 from __future__ import annotations
@@ -53,3 +55,18 @@ def _as_tuple(value: object, error: type[PlatError], what: str) -> tuple:
         except TypeError:
             raise error(f"{what}: got {type(value).__name__}") from None
         raise
+
+
+class _Text(str):
+    __repr__ = str.__str__  # read by !r as by str, without quotes
+
+
+def _shown(value: object) -> object:
+    """``value``, or past the int-to-text digit limit a stand-in naming its size."""
+    try:
+        repr(value)
+        return value
+    except ValueError:  # an int past the limit, or a value holding one
+        if isinstance(value, int):
+            return _Text(f"<int of {value.bit_length()} bits>")
+        return _Text(f"<{type(value).__name__} holding an int past the digit limit>")

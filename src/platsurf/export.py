@@ -57,7 +57,7 @@ from typing import Iterable
 
 from ._record import Record, set_field
 from .diagram import MAX_PD_CROSSINGS, PlatDiagram, Twist, box_strands
-from .errors import MalformedPDCodeError, ParameterError, UnsupportedBoxError, _as_tuple
+from .errors import MalformedPDCodeError, ParameterError, UnsupportedBoxError, _as_tuple, _shown
 from .topology import _cycles, swap_permutation
 
 # ---------------------------------------------------------------------------
@@ -124,12 +124,12 @@ class PDCode(Record):
                            for q in _as_tuple(crossings, MalformedPDCodeError, "crossings")])
         except MalformedPDCodeError:
             raise MalformedPDCodeError(
-                f"malformed PD code: crossings {crossings!r} are not sequences of labels"
+                f"malformed PD code: crossings {_shown(crossings)!r} are not sequences of labels"
             ) from None
         for q in quads:
             if len(q) != 4 or not all(type(x) is int for x in q):
                 raise MalformedPDCodeError(
-                    f"malformed PD code: crossing {q!r} is not four int labels"
+                    f"malformed PD code: crossing {_shown(q)!r} is not four int labels"
                 )
         set_field(self, "crossings", quads)
 
@@ -175,7 +175,8 @@ def pd_validate(code: PDCode) -> None:
     counts = Counter(chain.from_iterable(code.crossings))
     if (len(counts) != labels or set(counts.values()) - {2}
             or min(counts, default=1) != 1 or max(counts, default=0) != labels):
-        raise MalformedPDCodeError(f"malformed PD code: label counts {sorted(counts.items())}")
+        counts = _shown(sorted(counts.items()))
+        raise MalformedPDCodeError(f"malformed PD code: label counts {counts}")
 
 
 def to_pd_code(d: PlatDiagram) -> PDCode:
@@ -196,7 +197,7 @@ def to_pd_code(d: PlatDiagram) -> PDCode:
         raise UnsupportedBoxError("diagram has no crossings; PD code is undefined")
     if crossings > MAX_PD_CROSSINGS:
         raise ParameterError(
-            f"diagram has {crossings} crossings; PD codes are limited to {MAX_PD_CROSSINGS}"
+            f"diagram has {_shown(crossings)} crossings; PD codes are limited to {MAX_PD_CROSSINGS}"
         )
     w = 2 * d.n
 

@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 
 from ._record import Record, set_field
 from .diagram import PlatDiagram, _check_ints, row_length
-from .errors import ParameterError, PathError, TwoBridgeError, _as_tuple
+from .errors import ParameterError, PathError, TwoBridgeError, _as_tuple, _shown
 
 
 _TWO_BRIDGE = "a 2-bridge plat (n <= 2) admits no allowable paths"
@@ -98,7 +98,8 @@ def _shape_fault(d: PlatDiagram, entries: tuple, lo: int) -> str | None:
             return f"row {i}: entry {a!r} is not an int"
         hi = row_length(d.n, i) - lo
         if not lo <= a <= hi:
-            return f"row {i}: entry {a} outside {'allowable range ' if lo else ''}{lo}..{hi}"
+            where = f"{'allowable range ' if lo else ''}{lo}..{hi}"
+            return f"row {i}: entry {_shown(a)} outside {where}"
     return None
 
 

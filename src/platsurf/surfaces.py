@@ -43,7 +43,7 @@ from typing import Sequence
 
 from ._record import Record
 from .diagram import MAX_BOXES, PlatDiagram, _check_ints
-from .errors import ParameterError, PathError
+from .errors import ParameterError, PathError, _shown
 from .paths import AllowablePath, allowable_entries
 from .topology import build_topology, sphere_partition
 
@@ -198,7 +198,8 @@ def assembled_surface_cells(punctures: int, tubes: int) -> dict:
     """
     _check_ints(ParameterError, "punctures and tubes", punctures, tubes)
     if punctures < 0 or tubes < 0:
-        raise ParameterError(f"punctures and tubes must not be negative, got {punctures}, {tubes}")
+        raise ParameterError("punctures and tubes must not be negative, "
+                             f"got {_shown(punctures)}, {_shown(tubes)}")
     if punctures + tubes > MAX_BOXES + 1:  # unprinted: it may pass the int-to-text limit
         raise ParameterError(f"cell assembly takes at most {MAX_BOXES + 1} punctures and tubes")
     if tubes and 2 * tubes != punctures:

@@ -33,7 +33,9 @@ from typing import Iterable
 
 from ._record import Record, set_field
 from .diagram import MAX_PD_CROSSINGS, _check_ints, _slope_code
-from .errors import ParameterError, _as_tuple
+from .errors import ParameterError, _as_tuple, _shown
+
+_MAX_TERM_BITS = 10**5  # from_continued_fraction's bound on sum(|t|.bit_length() + 1)
 
 
 def _continued_fraction_terms(terms: Iterable[int]) -> tuple[int, ...]:
@@ -56,11 +58,11 @@ class TangleFraction(Record):
     def __init__(self, p: int, q: int) -> None:
         _check_ints(ParameterError, "fraction entries", p, q)
         if q < 0:
-            raise ParameterError(f"fraction {p}/{q} not canonical: q < 0")
+            raise ParameterError(f"fraction {_shown(p)}/{_shown(q)} not canonical: q < 0")
         if q == 0 and p != 1:
             raise ParameterError("infinite slope must be written 1/0")
         if math.gcd(abs(p), q) != 1:
-            raise ParameterError(f"fraction {p}/{q} is not reduced")
+            raise ParameterError(f"fraction {_shown(p)}/{_shown(q)} is not reduced")
         set_field(self, "p", p)
         set_field(self, "q", q)
 
@@ -95,8 +97,10 @@ class TangleFraction(Record):
     @classmethod
     def from_continued_fraction(cls, terms: Iterable[int]) -> "TangleFraction":
         """The fraction of an innermost-first term list; ParameterError when
-        the terms are empty or not a sequence of ints."""
+        the terms are empty, not a sequence of ints, or past ``_MAX_TERM_BITS``."""
         ts = _continued_fraction_terms(terms)
+        if sum([abs(t).bit_length() + 1 for t in ts]) > _MAX_TERM_BITS:  # the loop is quadratic
+            raise ParameterError(f"continued fraction terms exceed {_MAX_TERM_BITS} bits")
         num, den = ts[0], 1
         for t in ts[1:]:
             num, den = t * num + den, num

@@ -81,7 +81,7 @@ from operator import add
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .diagram import CAPS, SWAP, PlatDiagram, box_strands
-from .errors import PathError, UnsupportedBoxError
+from .errors import PathError, UnsupportedBoxError, _shown
 from .paths import AllowablePath, allowable_entries
 
 Segment = tuple[int, int]  # (gap, strand)
@@ -192,7 +192,7 @@ class LinkTopology:
     def component_of(self, gap: int, strand: int) -> int:
         # checked first: a negative flat index would wrap round silently
         if not (0 <= gap <= self.m and 1 <= strand <= 2 * self.n):
-            raise PathError(f"no segment (gap {gap}, strand {strand})")
+            raise PathError(f"no segment (gap {_shown(gap)}, strand {_shown(strand)})")
         return self._label[gap * 2 * self.n + strand - 1]
 
     def top_cap_component(self, j: int) -> int:

@@ -2,6 +2,7 @@
 
 import copy
 import enum
+import hashlib
 import json
 import math
 import pickle
@@ -366,7 +367,7 @@ def test_parse_fills_what_direct_construction_computes():
 
 def test_parse_rejects_what_it_did_before():
     for bad in (True, 1.0, [1, 2, 3]):
-        with pytest.raises(MalformedDiagramError, match=re.escape(f"bad box value {bad!r}")):
+        with pytest.raises(MalformedDiagramError, match=re.escape(f"row 1: bad box {bad!r}")):
             make_diagram(3, 1, [[3, bad]])
 
     class Count(int):
@@ -379,6 +380,53 @@ def test_parse_rejects_what_it_did_before():
 class _Half(enum.IntEnum):
     THREE = 3
     MINUS_FIVE = -5
+
+
+def _box_forms(rng, n, m):
+    """Rows of every box form a diagram file or a caller gives, with the boxes
+    they must build: ints (zero and negative too), IntEnum twists, (p, q) lists
+    and tuples, and Twists and Rationals already built."""
+    given, boxes = [], []
+    for i in range(1, m + 1):
+        row, built = [], []
+        for _ in range(row_length(n, i)):
+            roll, a = rng.random(), rng.randint(-7, 7)
+            if roll < 0.15:
+                p, q = rng.choice([(p, q) for p in range(-7, 8) for q in range(-7, 8)
+                                   if math.gcd(p, q) == 1])
+                box, want = rng.choice((list, tuple))((p, q)), Rational(p, q)
+            elif roll < 0.25:
+                box = rng.choice(list(_Half))
+                want = Twist(int(box))
+            elif roll < 0.35:
+                box = want = rng.choice((Twist(a), Rational(1, a)))
+            else:
+                box = 0 if roll < 0.4 else a
+                want = Twist(box)
+            row.append(box)
+            built.append(want)
+        given.append(row)
+        boxes.append(tuple(built))
+    return given, tuple(boxes)
+
+
+def test_one_constructor_reads_every_box_form():
+    for rng, n, m in _seeded_shapes(200):
+        given, boxes = _box_forms(rng, n, m)
+        kinds = [rng.choice((list, tuple, iter)) for _ in given]
+        made = make_diagram(n, m, [kind(row) for kind, row in zip(kinds, given)])
+        direct = PlatDiagram(n, m, tuple(kind(row) for kind, row in zip(kinds, given)))
+        as_lists = PlatDiagram(n, m, [list(row) for row in given])
+        as_tuples = PlatDiagram(n, m, tuple(map(tuple, given)))
+        for d in (direct, as_lists, as_tuples):
+            assert d == made and hash(d) == hash(made) == hash((n, m, boxes))
+            assert d.rows == boxes and d.digest == made.digest
+            assert d.slope_table == made.slope_table
+            assert d.is_all_twist is made.is_all_twist is all(
+                type(b) is Twist for row in boxes for b in row)
+        assert made == diagram_from_json(diagram_to_json(made))
+    knot = make_diagram(3, 3, [[3, 3], [3, 3, 3], [3, 3]])
+    assert PlatDiagram(3, 3, (knot.rows[0], iter(knot.rows[1]), knot.rows[2])) == knot
 
 
 def _digest_corpus():
@@ -407,20 +455,30 @@ def test_digest_bytes_equal_json_dumps_of_the_box_table():
     assert count == 3 * 8 * 6 + 4 + len(list(GOLDEN.glob("*/case.json"))) + 1
 
 
-def test_box_past_the_digit_limit_still_builds_and_its_digest_raises():
+def test_box_past_the_digit_limit_is_refused_as_in_a_file():
+    # a diagram file cannot hold such a box, so no built diagram holds one
     huge = 10**5000
-    assert Twist(huge).a == huge and Rational(huge, 1).q == 1
-    d = make_diagram(3, 1, [[huge, 3]])
-    assert d.box(1, 1) == Twist(huge) and d.slope_table == (bytes([9, 10]),)
-    with pytest.raises(ValueError, match="limit"):
-        d.digest
+    for build in (lambda: Twist(huge), lambda: Rational(huge, 1),
+                  lambda: make_diagram(3, 1, [[huge, 3]])):
+        with pytest.raises(MalformedDiagramError, match="^box entry exceeds a limit: "):
+            build()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Twist(huge).a == huge and Rational(huge, 1).q == 1
+        d = make_diagram(3, 1, [[huge, 3]])
+        assert d.box(1, 1) == Twist(huge) and d.slope_table == (bytes([9, 10]),)
+        assert canonical_diagram_bytes(d) == canonical_json_bytes(d)
+        assert d.digest == hashlib.sha256(canonical_json_bytes(d)).hexdigest()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_direct_construction_names_the_bad_box():
     with pytest.raises(MalformedDiagramError, match="row 1: bad box 'bad'"):
         PlatDiagram(3, 1, ((Twist(3), "bad"),))
-    with pytest.raises(MalformedDiagramError, match="row 2: bad box 3"):
-        PlatDiagram(3, 3, ((Twist(3),) * 2, (Twist(3), 3, Twist(3)), (Twist(3),) * 2))
+    rows = ((Twist(3),) * 2, (Twist(3), 3, Twist(3)), (Twist(3),) * 2)
+    assert PlatDiagram(3, 3, rows) == make_diagram(3, 3, [[3, 3], [3, 3, 3], [3, 3]])
 
 
 _SPOILERS = (0, 1, -1, 2, -2, (1, 0), (0, 1), (1, 2), (-3, 2), (2, 5))

@@ -14,8 +14,9 @@ compares bytes.
 
 ``large-shapes.json`` pins, for three seeded ``random_diagram`` shapes far
 past the corpus, the exit code and stdout sha256 of ``validate``,
-``certify``, ``surgery`` and ``export --format json``; each diagram is
-rebuilt from its seed, so nothing large is checked in.
+``certify``, ``surgery``, ``info``, ``paths --count``, ``export`` in
+every format and ``render`` in both; each diagram is rebuilt from its
+seed, so nothing large is checked in.
 """
 
 import hashlib

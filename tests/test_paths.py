@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 from enum import IntEnum
 
@@ -10,13 +11,17 @@ import pytest
 from platsurf import (
     AllowablePath,
     MalformedDiagramError,
+    MalformedPDCodeError,
     ParameterError,
     PathError,
     PDCode,
     PlatDiagram,
     PlatError,
+    Rational,
+    TangleFraction,
     TwoBridgeError,
     Twist,
+    assembled_surface_cells,
     build_topology,
     certify,
     certify_haken,
@@ -32,7 +37,9 @@ from platsurf import (
     make_diagram,
     random_diagram,
     render,
+    to_pd_code,
 )
+from platsurf.export import pd_validate
 from platsurf.paths import MAX_PATHS, PathCheck, allowable_entries, corridor_positions
 from helpers import brute_force_paths, per_row_allowable_entries, per_row_count
 from helpers import polyline_crossing_count, pos_of, row_len
@@ -293,16 +300,49 @@ _NOT_SLOPES = "slopes are not a sequence of Slope: got "
     (lambda: PlatDiagram(3, 3, 3), MalformedDiagramError, "rows are not a sequence of rows: got int"),
     (lambda: PlatDiagram(3, 3, [_KNOT.rows[0], None, _KNOT.rows[2]]), MalformedDiagramError,
      "row 2 is not a sequence of boxes: got NoneType"),
-    (lambda: PlatDiagram(3, 3, (_KNOT.rows[0], iter(_KNOT.rows[1]), _KNOT.rows[2])),
-     MalformedDiagramError, "row 2 is not a sequence of boxes: got tuple_iterator"),
 ], ids=["decompose", "certify", "for_diagram", "components_meeting_sphere", "render",
         "crossing_count", "certify_haken", "certify_haken_none", "is_totally_nontrivial",
         "AllowablePath", "make_diagram", "make_diagram_none", "make_diagram_row",
-        "make_diagram_last_row", "PlatDiagram", "PlatDiagram_row", "PlatDiagram_row_no_len"])
+        "make_diagram_last_row", "PlatDiagram", "PlatDiagram_row"])
 def test_a_path_or_slopes_that_is_not_iterable_is_an_input_error(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message and isinstance(info.value, PlatError)
+
+
+_HUGE = 10**5000  # past the interpreter's int-to-text digit limit
+_PAST = (_HUGE, 1, 1)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: make_diagram(_HUGE, 1, []), MalformedDiagramError),
+    (lambda: random_diagram(_HUGE, 1), ParameterError),
+    (lambda: PlatDiagram(-_HUGE, 1, []), MalformedDiagramError),
+    (lambda: PlatDiagram(3, 2 * _HUGE, []), MalformedDiagramError),
+    (lambda: PlatDiagram(3, 2 * _HUGE + 1, []), MalformedDiagramError),
+    (lambda: Rational(2 * _HUGE, 2), MalformedDiagramError),
+    (lambda: TangleFraction(1, -_HUGE), ParameterError),
+    (lambda: TangleFraction(2 * _HUGE, 2), ParameterError),
+    (lambda: AllowablePath.for_diagram(_KNOT, _PAST), PathError),
+    (lambda: crossing_count(_KNOT, _PAST), PathError),
+    (lambda: certify(_KNOT, _PAST), PathError),
+    (lambda: render(_KNOT, _PAST), PathError),
+    (lambda: build_topology(_KNOT).component_of(_HUGE, 1), PathError),
+    (lambda: assembled_surface_cells(-_HUGE, 0), ParameterError),
+    (lambda: PDCode(((_HUGE, 1, 2, 2, 3),)), MalformedPDCodeError),
+    (lambda: pd_validate(PDCode(((_HUGE, 1, 2, 2),))), MalformedPDCodeError),
+    # two boxes of the most digits a box may have: their crossing count has one more
+    (lambda: to_pd_code(make_diagram(3, 1, [[9 * 10 ** (sys.get_int_max_str_digits() - 1)] * 2])),
+     ParameterError),
+], ids=["make_diagram", "random_diagram", "PlatDiagram_n", "PlatDiagram_even_m",
+        "PlatDiagram_count", "Rational", "TangleFraction_q", "TangleFraction_reduced",
+        "for_diagram", "crossing_count", "certify", "render", "component_of",
+        "assembled_surface_cells", "PDCode", "pd_validate", "to_pd_code"])
+def test_a_refusal_naming_an_int_past_the_digit_limit_keeps_its_error(call, error):
+    with pytest.raises(PlatError) as info:
+        call()
+    assert type(info.value) is error
+    assert "<int of " in str(info.value) or "holding an int past the" in str(info.value)
 
 
 def test_a_type_error_inside_an_iterable_is_not_an_input_error():

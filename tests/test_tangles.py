@@ -114,6 +114,18 @@ def test_incompressibility_levels():
     assert incompressibility_level(TangleFraction.of(1, 5)) == 3
 
 
+def test_continued_fraction_bits_are_limited_before_the_loop():
+    # each term counts |t|.bit_length() + 1; terms of 3 at the limit still evaluate
+    at_limit = [3] * (tangles._MAX_TERM_BITS // 3)
+    assert TangleFraction.from_continued_fraction(at_limit).q > 0
+    message = f"^continued fraction terms exceed {tangles._MAX_TERM_BITS} bits$"
+    for terms in (at_limit + [1], [2 ** tangles._MAX_TERM_BITS], [10**5000] * 20):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match=message):
+            TangleFraction.from_continued_fraction(terms)
+        assert time.perf_counter() - start < 0.05
+
+
 def test_tracing_is_limited_before_any_twist_is_traced(monkeypatch):
     start = time.perf_counter()
     message = f"^tracing takes at most {MAX_PD_CROSSINGS} half twists in all$"
